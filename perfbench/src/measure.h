@@ -136,11 +136,15 @@ struct OpenLoopOp {
 /// client waits for the due time (Clock::waitUntil returns the time it
 /// actually woke); a busy one starts the overdue request at once, so a
 /// stalled request delays the ones queued behind it. \p Run(K) issues
-/// request K. The clock is a parameter so the tests can drive the loop
-/// with simulated time.
+/// request K. The loop gives up, returning the requests that ran, once a
+/// request would start more than \p MaxLag seconds late: the rate is then
+/// far beyond what the client sustains, and the rest would only lengthen
+/// the run. The clock is a parameter so the tests can drive the loop with
+/// simulated time.
 template <class Clock, class RunFn>
 std::vector<OpenLoopOp> runOpenLoop(const ArrivalSchedule &S, double Window,
-                                    Clock &C, RunFn &&Run) {
+                                    Clock &C, RunFn &&Run,
+                                    double MaxLag = HUGE_VAL) {
   std::vector<OpenLoopOp> Ops;
   for (size_t K = 0;; ++K) {
     OpenLoopOp Op;
@@ -148,6 +152,8 @@ std::vector<OpenLoopOp> runOpenLoop(const ArrivalSchedule &S, double Window,
     if (Op.Due >= Window)
       break;
     double Now = C.now();
+    if (Now - Op.Due > MaxLag)
+      break;
     Op.Idle = Now <= Op.Due;
     Op.Start = Op.Idle ? C.waitUntil(Op.Due) : Now;
     Run(K);

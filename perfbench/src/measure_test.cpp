@@ -137,6 +137,12 @@ void testBacklog() {
   std::vector<OpenLoopOp> Stall = runOpenLoop(
       S, 100, C3, [&](size_t K) { C3.T += K == 10 ? 8.0 : 0.5; });
   check(!backlogGrows(Stall, 100), "a drained stall is not a growing backlog");
+  // Far beyond capacity, the loop gives up once it runs MaxLag behind.
+  FakeClock C4;
+  std::vector<OpenLoopOp> Cut = runOpenLoop(
+      S, 100, C4, [&](size_t) { C4.T += 3.0; }, 10.0);
+  check(Cut.size() == 6 && Cut.back().Start - Cut.back().Due <= 10.0,
+        "an overloaded loop stops once it lags by more than MaxLag");
 }
 
 void testLadder() {

@@ -25,6 +25,7 @@
 #include "support/rng.h"
 
 #include <algorithm>
+#include <cmath>
 #include <condition_variable>
 #include <fstream>
 #include <memory>
@@ -63,6 +64,8 @@ constexpr size_t LadderRungs = 32;
 constexpr double ProbeRequests = 2000;
 constexpr double TailLimitMs = 1.0;
 constexpr int LadderSearches = 3;
+/// A probe gives up (and fails) once its requests start this late.
+constexpr double ProbeMaxLagS = 0.25;
 
 const char *ServerSetup = R"(
 q_sum <- function(data) {
@@ -182,14 +185,16 @@ enum class Cmd { Start, Stop, Cold, Open, Final };
 /// What the orchestrator asks of the clients for the next phase.
 struct PhaseCmd {
   Cmd Kind = Cmd::Cold;
-  double Rate = 0;   ///< total offered rps, both clients
-  double Window = 0; ///< seconds of arrivals
+  double Rate = 0;          ///< total offered rps, both clients
+  double Window = 0;        ///< seconds of arrivals
+  double MaxLag = HUGE_VAL; ///< see runOpenLoop
 };
 
 /// One client's record of an open-loop phase.
 struct ClientPhase {
   std::vector<OpenLoopOp> Ops;
   std::vector<size_t> Kind; ///< per op, index into kinds()
+  bool GaveUp = false;      ///< stopped MaxLag behind its schedule
 };
 
 } // namespace
@@ -258,7 +263,8 @@ WorkloadResult runServer(const Options &O, std::vector<SpanRecorder> *Rs) {
           const char *Req = RequestMix[Draw.below(MixSize)];
           P.Kind.push_back(KindIdx(Req));
           Fails[Id].timedOp(*V, Refs, "server", Req, R, ++OpId);
-        });
+        }, C.MaxLag);
+        P.GaveUp = S.due(P.Ops.size()) < C.Window;
       }
       Sync.arriveAndWait(); // phase end
     }
@@ -383,13 +389,13 @@ WorkloadResult runServer(const Options &O, std::vector<SpanRecorder> *Rs) {
   std::string Probes;
   auto Probe = [&](size_t I) {
     double Window = ProbeRequests / Ladder[I];
-    RunPhase({Cmd::Open, Ladder[I], Window});
+    RunPhase({Cmd::Open, Ladder[I], Window, ProbeMaxLagS});
     std::vector<double> Lat;
     bool Grows = false;
     for (const ClientPhase &P : Phase) {
       for (const OpenLoopOp &Op : P.Ops)
         Lat.push_back(1e3 * Op.latency());
-      Grows |= backlogGrows(P.Ops, Window);
+      Grows |= P.GaveUp || backlogGrows(P.Ops, Window);
     }
     Tail PT = tailOf(Lat);
     bool Pass = PT.Value <= TailLimitMs && !Grows;
