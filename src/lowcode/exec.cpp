@@ -79,9 +79,11 @@ template <typename ObjT, typename ElemT>
 Value setTypedElem(Value Obj, Tag VecTag, int64_t Idx, ElemT Elem) {
   if (Idx < 1)
     rerror("invalid subscript in assignment");
-  if (!Obj.unshared())
+  if (!Obj.unshared()) {
+    ++stats().CowCopies;
     Obj = Value::adopt(VecTag,
                        new ObjT(static_cast<ObjT *>(Obj.object())->D));
+  }
   ObjT *O = static_cast<ObjT *>(Obj.object());
   if (static_cast<size_t>(Idx) > O->D.size()) {
     O->D.resize(Idx, ElemT{});

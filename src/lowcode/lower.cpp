@@ -17,8 +17,10 @@
 
 #include "lowcode/lower.h"
 
+#include <algorithm>
 #include <map>
 #include <unordered_map>
+#include <unordered_set>
 
 using namespace rjit;
 
@@ -65,6 +67,9 @@ public:
     resolveAliases();
     countUses();
     assignSlots();
+    for (BB *B : C.rpo())
+      Rpo.push_back(B);
+    computeLiveness();
     emitBlocks();
     emitTrampolines();
     applyFixups();
@@ -82,8 +87,12 @@ private:
   std::unordered_map<const Instr *, const Instr *> Alias;
   std::unordered_map<const Instr *, uint16_t> Slot;
   std::unordered_map<const Instr *, SlotClass> Class;
-  std::unordered_map<const Instr *, uint32_t> NonFsUses;
   std::unordered_map<const Instr *, uint32_t> AllUses;
+  /// Dense index of the boxed values a move may empty: Params and computed
+  /// values (Consts and Undefs are loaded once, up front, and reused).
+  std::unordered_map<const Instr *, uint32_t> LiveIdx;
+  std::vector<std::vector<bool>> LiveIn; ///< by block id; phis excluded
+  std::unordered_set<const Instr *> LastUseStores; ///< container dies here
   uint16_t NextB = 0, NextD = 0, NextI = 0;
 
   std::map<const BB *, int32_t> BlockStart;
@@ -127,11 +136,8 @@ private:
 
   void countUses() {
     C.eachInstr([&](Instr *I) {
-      for (Instr *Op : I->Ops) {
+      for (Instr *Op : I->Ops)
         ++AllUses[canon(Op)];
-        if (I->Op != IrOp::FrameStateIr)
-          ++NonFsUses[canon(Op)];
-      }
     });
   }
 
@@ -240,97 +246,95 @@ private:
     emit(U);
   }
 
-  /// True when moving (rather than copying) out of a boxed slot is safe.
-  bool stealSafe(const Instr *Src, const BB *UseBlock) const {
-    const Instr *R = canon(Src);
-    if (R->Op == IrOp::Const || R->Op == IrOp::Undef ||
-        R->Op == IrOp::Param || R->Op == IrOp::Phi)
-      return false;
-    return R->Parent == UseBlock;
+  //===-- Last-use moves ------------------------------------------------------//
+
+  using EdgeMoves = std::vector<std::pair<const Instr *, const Instr *>>;
+
+  /// The (phi, incoming value) pairs of the edge \p From -> \p To.
+  static EdgeMoves phiInputs(const BB *From, const BB *To) {
+    EdgeMoves Moves;
+    auto &Preds = To->Preds;
+    size_t P = static_cast<size_t>(
+        std::find(Preds.begin(), Preds.end(), From) - Preds.begin());
+    for (auto &IP : To->Instrs)
+      if (IP->Op == IrOp::Phi && P < IP->Ops.size())
+        Moves.push_back({IP.get(), IP->Ops[P]});
+    return Moves;
   }
-  /// Container steal for SetElem: the container is typically the loop phi
-  /// of the variable. Stealing empties the phi's slot, which is refilled
-  /// by the edge moves of every edge into the phi's block — so the steal
-  /// is safe iff every *other* use of the phi is only reachable from the
-  /// SetElem by passing through the phi's block again. This is what keeps
-  /// `v[[i]] <- x` loops O(n) even when v is read after the loop.
-  bool stealSafeContainer(const Instr *Phi, const Instr *SetElem) const {
-    const Instr *R = canon(Phi);
-    if (R->Op != IrOp::Phi)
-      return NonFsUses.count(R) && NonFsUses.at(R) <= 1 &&
-             stealSafe(Phi, SetElem->Parent);
 
-    // Collect the other non-framestate uses.
-    std::vector<const Instr *> Others;
-    const_cast<IrCode &>(C).eachInstr([&](Instr *U) {
-      if (U == SetElem || U->Op == IrOp::FrameStateIr)
-        return;
-      for (Instr *Op : U->Ops)
-        if (canon(Op) == R) {
-          Others.push_back(U);
-          return;
-        }
-    });
-    if (Others.empty())
-      return true;
+  /// Calls \p Fn on every value whose slot \p I reads where it is lowered:
+  /// its operands, framestates included, and for a guard also the tested
+  /// value and its whole framestate chain, which buildMeta reads there. A
+  /// phi reads its operands on the incoming edges instead.
+  template <typename Fn> void forEachRead(const Instr &I, Fn F) const {
+    if (I.Op == IrOp::Phi)
+      return;
+    for (const Instr *Op : I.Ops)
+      F(canon(Op));
+    if (I.Op != IrOp::AssumeIr)
+      return;
+    for (const Instr *Op : I.op(0)->Ops)
+      F(canon(Op));
+    for (const Instr *Fs = I.op(1)->op(0); Fs; Fs = Fs->parentFs())
+      for (const Instr *Op : Fs->Ops)
+        F(canon(Op));
+  }
 
-    const BB *From = SetElem->Parent;
-    auto PosIn = [](const BB *B, const Instr *I) {
-      for (size_t K = 0; K < B->Instrs.size(); ++K)
-        if (B->Instrs[K].get() == I)
-          return K;
-      return B->Instrs.size();
+  /// Backward liveness of the boxed values, to a fixpoint over the CFG; a
+  /// phi operand is live at the end of its predecessor. A slot is moved
+  /// from (left empty) instead of copied wherever its value is dead
+  /// afterwards, so a container reaches its element store unshared and is
+  /// updated in place: `v[[i]] <- x` loops stay O(n) whatever else reads
+  /// v, before the loop, after it, or from a framestate.
+  void computeLiveness() {
+    for (auto &[I, K] : Class)
+      if (K == SlotClass::Boxed && I->Op != IrOp::Const &&
+          I->Op != IrOp::Undef)
+        LiveIdx.emplace(I, static_cast<uint32_t>(LiveIdx.size()));
+    LiveIn.assign(C.NextBlockId, std::vector<bool>(LiveIdx.size()));
+    auto Set = [&](std::vector<bool> &Live, const Instr *V, bool On) {
+      auto It = LiveIdx.find(V);
+      if (It != LiveIdx.end())
+        Live[It->second] = On;
     };
-    std::vector<const BB *> Targets;
-    for (const Instr *U : Others) {
-      if (U->Parent == From) {
-        if (PosIn(From, U) > PosIn(From, SetElem))
-          return false; // later read in the same block sees the theft
-        continue;
+    auto Scan = [&](const BB *B) {
+      std::vector<bool> Live(LiveIdx.size());
+      for (const BB *S : B->Succs)
+        if (S) {
+          for (size_t K = 0; K < Live.size(); ++K)
+            Live[K] = Live[K] || LiveIn[S->Id][K];
+          for (auto &[Phi, Src] : phiInputs(B, S))
+            Set(Live, canon(Src), true);
+        }
+      for (auto It = B->Instrs.rbegin(); It != B->Instrs.rend(); ++It) {
+        const Instr &I = **It;
+        Set(Live, &I, false);
+        if (I.Op == IrOp::SetElem2Gen || I.Op == IrOp::SetElem2Typed) {
+          // Dead afterwards, and neither the index nor the stored value.
+          const Instr *Obj = canon(I.op(0));
+          auto Ix = LiveIdx.find(Obj);
+          if (Ix != LiveIdx.end() && !Live[Ix->second] &&
+              canon(I.op(1)) != Obj && canon(I.op(2)) != Obj)
+            LastUseStores.insert(&I);
+        }
+        forEachRead(I, [&](const Instr *V) { Set(Live, V, true); });
       }
-      Targets.push_back(U->Parent);
-    }
-    if (Targets.empty())
-      return true;
-
-    // DFS from the SetElem's successors; edges *into* the phi's block
-    // refill the slot, so that block is a barrier.
-    std::vector<const BB *> Work{From};
-    std::vector<bool> Seen(C.NextBlockId, false);
-    Seen[From->Id] = true;
-    while (!Work.empty()) {
-      const BB *B = Work.back();
-      Work.pop_back();
-      for (BB *S : {B->Succs[0], B->Succs[1]}) {
-        if (!S || Seen[S->Id] || S == R->Parent)
-          continue;
-        for (const BB *T : Targets)
-          if (S == T)
-            return false;
-        Seen[S->Id] = true;
-        Work.push_back(S);
+      return Live;
+    };
+    for (bool Changed = true; Changed;) {
+      Changed = false;
+      LastUseStores.clear();
+      for (auto It = Rpo.rbegin(); It != Rpo.rend(); ++It) {
+        std::vector<bool> In = Scan(*It);
+        Changed = Changed || In != LiveIn[(*It)->Id];
+        LiveIn[(*It)->Id] = std::move(In);
       }
     }
-    return true;
   }
 
   /// Emits the phi copies for the edge From -> To.
   void emitEdgeMoves(const BB *From, const BB *To) {
-    std::vector<std::pair<const Instr *, const Instr *>> Moves;
-    size_t PredIdx = static_cast<size_t>(-1);
-    for (size_t K = 0; K < To->Preds.size(); ++K)
-      if (To->Preds[K] == From) {
-        PredIdx = K;
-        break;
-      }
-    if (PredIdx == static_cast<size_t>(-1))
-      return;
-    for (auto &IP : To->Instrs) {
-      if (IP->Op != IrOp::Phi)
-        continue;
-      if (PredIdx < IP->Ops.size())
-        Moves.push_back({IP.get(), IP->Ops[PredIdx]});
-    }
+    EdgeMoves Moves = phiInputs(From, To);
     if (Moves.empty())
       return;
 
@@ -341,9 +345,18 @@ private:
             slotOf(OtherPhi) == slotOf(Src))
           NeedTemps = true;
 
-    auto EmitOne = [&](uint16_t Dst, SlotClass DstK, const Instr *Phi,
-                       const Instr *Src) {
-      (void)Phi;
+    // The edge is \p Src's last read when it is dead in \p To and no other
+    // phi on the edge reads it too.
+    auto DiesOnEdge = [&](const Instr *Src) {
+      auto It = LiveIdx.find(canon(Src));
+      if (It == LiveIdx.end() || LiveIn[To->Id][It->second])
+        return false;
+      size_t Reads = 0;
+      for (auto &[Phi, Other] : Moves)
+        Reads += canon(Other) == canon(Src);
+      return Reads == 1;
+    };
+    auto EmitOne = [&](uint16_t Dst, SlotClass DstK, const Instr *Src) {
       SlotClass SrcK = classOf(Src);
       if (SrcK != DstK) {
         // Box/unbox into the destination class. (Classes can only differ
@@ -371,10 +384,7 @@ private:
       M.Dst = Dst;
       M.A = slotOf(Src);
       M.B = static_cast<uint16_t>(DstK);
-      M.C = (DstK == SlotClass::Boxed && NonFsUses[canon(Src)] <= 1 &&
-             stealSafe(Src, From))
-                ? 1
-                : 0;
+      M.C = DstK == SlotClass::Boxed && DiesOnEdge(Src) ? 1 : 0;
       emit(M);
     };
 
@@ -383,7 +393,7 @@ private:
         SlotClass K = classOf(Phi);
         if (classOf(Src) == K && slotOf(Phi) == slotOf(Src))
           continue;
-        EmitOne(slotOf(Phi), K, Phi, Src);
+        EmitOne(slotOf(Phi), K, Src);
       }
       return;
     }
@@ -392,7 +402,7 @@ private:
       SlotClass K = classOf(Phi);
       uint16_t T = allocSlot(K);
       Temps.push_back({T, K});
-      EmitOne(T, K, Phi, Src);
+      EmitOne(T, K, Src);
     }
     for (size_t K = 0; K < Moves.size(); ++K) {
       LowInstr M{LowOp::Move};
@@ -402,14 +412,6 @@ private:
       M.C = Temps[K].second == SlotClass::Boxed ? 1 : 0;
       emit(M);
     }
-  }
-
-  static bool edgeHasMoves(const BB *From, const BB *To) {
-    for (auto &IP : To->Instrs)
-      if (IP->Op == IrOp::Phi)
-        return true;
-    (void)From;
-    return false;
   }
 
   void jumpTo(const BB *Target) {
@@ -456,8 +458,6 @@ private:
   //===-- Block emission --------------------------------------------------------//
 
   void emitBlocks() {
-    for (BB *B : C.rpo())
-      Rpo.push_back(B);
     // Materialize constants and undefs once up front.
     for (const BB *B : Rpo)
       for (auto &IP : B->Instrs)
@@ -493,7 +493,7 @@ private:
   }
 
   void branchFixup(size_t LowPc, const BB *From, const BB *To) {
-    if (edgeHasMoves(From, To)) {
+    if (!phiInputs(From, To).empty()) {
       Trampolines.push_back({From, To, -1});
       Fixups.push_back(
           {LowPc, To, static_cast<int32_t>(Trampolines.size() - 1)});
@@ -656,7 +656,7 @@ private:
                                            : LowOp::SetElem2Typed};
       L.Dst = boxedSlotOf(&I);
       L.A = boxedSlotOf(I.op(0));
-      bool Steal = stealSafeContainer(I.op(0), &I);
+      bool Steal = LastUseStores.count(&I);
       if (I.Op == IrOp::SetElem2Typed) {
         L.B = slotOf(I.op(1)); // raw int index
         assert(classOf(I.op(1)) == SlotClass::RawInt);

@@ -507,7 +507,7 @@ private:
   void finalizeFallthroughs() {
     // All blocks must be terminated; translateBlock handles every case
     // (Return/Branch/fallthrough), so nothing to do — kept as an assert.
-    for (auto &[Pc, BI] : Blocks)
+    for ([[maybe_unused]] auto &[Pc, BI] : Blocks)
       assert((!BI.Translated || BI.Bb->terminated()) &&
              "untranslated or unterminated block");
   }

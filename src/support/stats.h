@@ -80,6 +80,11 @@ struct VmStats {
   RelaxedCounter NativeRegSpills;     ///< raw-slot live ranges with uses
                                       ///< that were denied a register
                                       ///< home (pool exhausted)
+  RelaxedCounter CowCopies;           ///< element stores that found their
+                                      ///< container shared and copied it
+                                      ///< (copy-on-write); O(1) per loop
+                                      ///< when lowering moves containers
+                                      ///< at their last use
   RelaxedGauge GraveyardSize;         ///< retired executables awaiting
                                       ///< safepoint reclamation; the
                                       ///< owning Vm re-syncs the level

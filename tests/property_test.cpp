@@ -402,6 +402,11 @@ private:
          addSub() + " (a " + arith() + " i)\n    h(i)\n  }\n" +
          "  s <- 0L\n  for (i in 1:n) s <- s " + addSub() +
          " mk(i)\n  s\n}\n";
+    // kS: a self-aliasing store — the container is also the stored value,
+    // so lowering may not move it out of its slot at the store.
+    S += "kS <- function(a, n) {\n  v <- list(a, a)\n"
+         "  for (i in 1:n) v[[2L]] <- v\n  w <- v\n"
+         "  for (i in 1:n) w <- w[[2L]]\n  length(w) + w[[1L]]\n}\n";
     // Data: int/real vectors and lists for the two phases.
     int M = 4 + static_cast<int>(R.below(5));
     S += "m <- " + std::to_string(M) + "L\n";
@@ -481,6 +486,10 @@ private:
         break;
       }
     }
+    // Appended after the random lines (which stay as they were), once per
+    // phase so that kS compiles by the second round.
+    for (int Phase : {0, 1})
+      Lines.push_back("kS(" + scalar(Phase) + ", m)");
     return Lines;
   }
 };
