@@ -661,6 +661,7 @@ Value rjit::runLow(const LowFunction &F, std::vector<Value> &&Args,
                  "installed");
         // The paper's Listing 3: the deopt primitive is (tail-)called and
         // its result is the result of this activation.
+        materializeDeoptState(M, S.data(), D.data(), Iv.data());
         return H.Deopt(F, S, I.Imm, CurEnv, ParentEnv, Injected);
       }
       ++Pc;
@@ -716,6 +717,12 @@ bool rjit::lowGuardHolds(const LowInstr &I, const DeoptMeta &M,
   default:
     return S[I.A].tag() == Tag::Lgl && S[I.A].asLglUnchecked();
   }
+}
+
+void rjit::materializeDeoptState(const DeoptMeta &M, Value *S,
+                                 const double *D, const int32_t *Iv) {
+  for (const LowInstr &B : M.Boxes)
+    boxOp(B, S, D, Iv);
 }
 
 bool rjit::stepCmpBranchTaken(const LowInstr &I, const Value *S,

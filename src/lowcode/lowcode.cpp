@@ -76,6 +76,64 @@ const char *rjit::lowOpName(LowOp Op) {
   return "?";
 }
 
+bool rjit::lowReadsBoxed(const LowInstr &I, uint16_t Slot) {
+  auto InArgRange = [&I, Slot] {
+    return Slot >= I.B &&
+           static_cast<int32_t>(Slot) < static_cast<int32_t>(I.B) + I.Imm;
+  };
+  // Every op is listed, so a new one breaks the -Wswitch build here
+  // instead of silently reading nothing.
+  switch (I.Op) {
+  case LowOp::Move:
+    return static_cast<SlotClass>(I.B) == SlotClass::Boxed && I.A == Slot;
+  case LowOp::Coerce:
+    return static_cast<SlotClass>(I.C >> 8) == SlotClass::Boxed &&
+           I.A == Slot;
+  case LowOp::CallValLow:
+  case LowOp::CallStaticLow:
+    return I.A == Slot || InArgRange();
+  case LowOp::CallBiLow:
+    return InArgRange();
+  case LowOp::ArithTyped:
+  case LowOp::CmpBranch:
+    return ((I.C & 0x7FFF) & 3) == 0 && (I.A == Slot || I.B == Slot);
+  case LowOp::BinGenLow:
+  case LowOp::Extract2Low:
+  case LowOp::Extract1Low:
+  case LowOp::SetIdx2EnvLow:
+  case LowOp::SetIdx1EnvLow:
+    return I.A == Slot || I.B == Slot;
+  case LowOp::SetElem2Low:
+    return I.A == Slot || I.B == Slot ||
+           (I.Imm >= 0 && static_cast<uint16_t>(I.Imm) == Slot);
+  case LowOp::SetElem2Typed:
+    // The stored element (Imm) is boxed for non-real/int kinds;
+    // conservatively treat it as boxed for any kind.
+    return I.A == Slot ||
+           (I.Imm >= 0 && static_cast<uint16_t>(I.Imm) == Slot);
+  case LowOp::Unbox:
+  case LowOp::StEnv:
+  case LowOp::StEnvSuper:
+  case LowOp::NegLow:
+  case LowOp::NotLow:
+  case LowOp::AsCondLow:
+  case LowOp::LengthLow:
+  case LowOp::Extract2Typed:
+  case LowOp::GuardCond:
+  case LowOp::BranchFalseLow:
+  case LowOp::BranchTrueLow:
+  case LowOp::RetLow:
+    return I.A == Slot;
+  case LowOp::LoadConst:
+  case LowOp::Box:
+  case LowOp::LdEnv:
+  case LowOp::MkClosLow:
+  case LowOp::JumpLow:
+    return false;
+  }
+  return true;
+}
+
 std::string rjit::printLow(const LowFunction &F) {
   std::string S = "lowfn ";
   S += F.Origin ? symbolName(F.Origin->Name) : "?";
@@ -95,7 +153,13 @@ std::string rjit::printLow(const LowFunction &F) {
     if (I.Op == LowOp::GuardCond) {
       const DeoptMeta &M = F.Deopts[I.Imm];
       S += std::string(" [") + deoptReasonName(M.RKind) +
-           " pc=" + std::to_string(M.BcPc) + "]";
+           " pc=" + std::to_string(M.BcPc);
+      // The frame state's deferred boxes: boxed temp <- raw home.
+      for (const LowInstr &B : M.Boxes)
+        S += " box d" + std::to_string(B.Dst) + "<-" +
+             (static_cast<SlotClass>(B.C) == SlotClass::RawReal ? "r" : "i") +
+             std::to_string(B.A);
+      S += "]";
     }
     S += "\n";
   }

@@ -89,6 +89,11 @@ struct LowInstr {
   int32_t Imm2 = 0;
 };
 
+/// Does \p I read boxed slot \p Slot? Slot numbers are per-class
+/// namespaces, so only boxed operand positions count; deopt metadata is
+/// not an instruction and is not consulted.
+bool lowReadsBoxed(const LowInstr &I, uint16_t Slot);
+
 /// One synthesized interpreter frame of a caller whose call was inlined:
 /// the compiled form of a return-framestate in the frame-state chain. On
 /// OSR-out the runtime pushes the inner frame's result onto this frame's
@@ -125,6 +130,10 @@ struct DeoptMeta {
   int32_t FailedFeedbackSlot = -1;
   uint16_t ValueSlot = 0;      ///< slot of the guarded value (actual value)
   bool HasValueSlot = false;
+  /// Box ops that fill the boxed temps standing in for raw-homed values of
+  /// this frame-state chain. They run only when the guard fails
+  /// (materializeDeoptState), never on the passing path.
+  std::vector<LowInstr> Boxes;
 };
 
 /// A compiled function or continuation.

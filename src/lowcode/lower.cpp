@@ -9,9 +9,10 @@
 // in a raw double array, everything else in boxed Value slots. Producers
 // that can only deliver boxed results (calls, environment reads, generic
 // ops) are followed by an Unbox when their result type is raw; consumers
-// that need boxed inputs (calls, environment stores, framestates, returns)
-// get a Box. Guards always guard boxed values (a guard exists precisely
-// because the type is not statically known).
+// that need boxed inputs (calls, environment stores, returns) get a Box.
+// Guards always guard boxed values (a guard exists precisely because the
+// type is not statically known). A framestate's raw values are boxed only
+// when its guard fails: their Box ops go into the DeoptMeta, not the code.
 //
 //===----------------------------------------------------------------------===//
 
@@ -213,18 +214,23 @@ private:
   }
 
   /// Returns a boxed slot holding \p V's value at this point, boxing raw
-  /// homes into a fresh temporary.
-  uint16_t ensureBoxed(const Instr *V) {
+  /// homes into a fresh temporary. With \p Deferred the Box goes there
+  /// instead of into the code: a guard's framestate boxes run only when
+  /// the guard fails.
+  uint16_t ensureBoxed(const Instr *V,
+                       std::vector<LowInstr> *Deferred = nullptr) {
     SlotClass K = classOf(V);
     if (K == SlotClass::Boxed)
       return slotOf(V);
-    uint16_t Tmp = NextB++;
     LowInstr B{LowOp::Box};
-    B.Dst = Tmp;
+    B.Dst = NextB++;
     B.A = slotOf(V);
     B.C = static_cast<uint16_t>(K);
-    emit(B);
-    return Tmp;
+    if (Deferred)
+      Deferred->push_back(B);
+    else
+      emit(B);
+    return B.Dst;
   }
 
   /// Emits \p L (which writes a boxed result to L.Dst); when the value's
@@ -795,9 +801,10 @@ private:
     M.BcPc = Fs->BcPc;
     M.FrameFn = Fs->Target;
     for (uint32_t K = 0; K < Fs->StackCount; ++K)
-      M.StackSlots.push_back(ensureBoxed(Fs->stackOp(K)));
+      M.StackSlots.push_back(ensureBoxed(Fs->stackOp(K), &M.Boxes));
     for (size_t K = 0; K < Fs->EnvSyms.size(); ++K)
-      M.EnvSlots.push_back({Fs->EnvSyms[K], ensureBoxed(Fs->envOp(K))});
+      M.EnvSlots.push_back(
+          {Fs->EnvSyms[K], ensureBoxed(Fs->envOp(K), &M.Boxes)});
 
     // Inlined guards: encode the chain of caller return-framestates so the
     // runtime can materialize every synthesized frame on OSR-out.
@@ -806,9 +813,10 @@ private:
       Fr.Fn = P->Target;
       Fr.BcPc = P->BcPc;
       for (uint32_t K = 0; K < P->StackCount; ++K)
-        Fr.StackSlots.push_back(ensureBoxed(P->stackOp(K)));
+        Fr.StackSlots.push_back(ensureBoxed(P->stackOp(K), &M.Boxes));
       for (size_t K = 0; K < P->EnvSyms.size(); ++K)
-        Fr.EnvSlots.push_back({P->EnvSyms[K], ensureBoxed(P->envOp(K))});
+        Fr.EnvSlots.push_back(
+            {P->EnvSyms[K], ensureBoxed(P->envOp(K), &M.Boxes)});
       M.Callers.push_back(std::move(Fr));
     }
 

@@ -45,6 +45,13 @@ bool stepCmpBranchTaken(const LowInstr &I, const Value *S, const double *D,
 /// case and the native backend's slow-path re-check.
 bool lowGuardHolds(const LowInstr &I, const DeoptMeta &M, const Value *S);
 
+/// Runs \p M's deferred frame-state Box ops, filling the boxed temps its
+/// slot maps name from the raw slots. Called by both backends when the
+/// guard fails, right before the deopt hook; the raw arrays must be
+/// current (the native tier flushes its register homes first).
+void materializeDeoptState(const DeoptMeta &M, Value *S, const double *D,
+                           const int32_t *Iv);
+
 /// Spills incoming arguments into their class homes (boxed / raw-double
 /// / raw-int slots, per F.ParamClasses). The activation-entry convention
 /// shared by the interpreter engine and the native backend's run().

@@ -11,8 +11,9 @@
 //    homed slot's current value is in its register at every instruction
 //    boundary" — so arbitrary LowCode jumps need no per-edge fixup code.
 //    Helper calls flush caller-saved homes and reload after; helpers that
-//    read the raw arrays get a full flush; side exits need none at all
-//    (deopt's DeoptMeta maps boxed slots only — raw state is invisible).
+//    read the raw arrays get a full flush. Side exits are such helpers:
+//    a failing guard boxes its frame state's raw values from the arrays
+//    (materializeDeoptState) before the deopt hook runs.
 //
 //  * Superinstruction fusion: recurring template pairs collapse into one
 //    template. arith+move computes once and stores both destinations;
@@ -305,8 +306,9 @@ static int64_t rjit_nat_call_linked(NativeFrame *Fr, int32_t SiteIdx) {
 namespace {
 
 /// The guard-failure protocol of the interpreter's GuardCond case: count
-/// the failure and (tail-)call the installed deopt hook — its result is
-/// the result of this activation. Always ends the activation.
+/// the failure, box the frame state's raw values and (tail-)call the
+/// installed deopt hook — its result is the result of this activation.
+/// Always ends the activation. The stubs flush every home first.
 void guardDeopt(NativeFrame *Fr, int32_t Pc, bool Injected) {
   const LowInstr &I = Fr->F->Code[Pc];
   try {
@@ -318,6 +320,7 @@ void guardDeopt(NativeFrame *Fr, int32_t Pc, bool Injected) {
     if (!H.Deopt)
       rerror("speculation failed and no deoptimization handler is "
              "installed");
+    materializeDeoptState(Fr->F->Deopts[I.Imm], Fr->S, Fr->D, Fr->Iv);
     Fr->Result = H.Deopt(*Fr->F, *Fr->SlotVec, I.Imm, Fr->CurEnv,
                          Fr->ParentEnv, Injected);
   } catch (...) {
@@ -691,13 +694,16 @@ private:
         A.patchRel32(Site, Here);
       switch (St.K) {
       case Stub::GuardFail:
-        // Deopt reads only the boxed slot vector (DeoptMeta maps boxed
-        // slots exclusively), and the activation ends here — no flush.
+        // The deferred frame-state boxes read the raw arrays, so every
+        // home is flushed; the activation ends here — no reload.
+        flushHomes(true);
         helperCall(rjit_nat_guard_fail, St.Pc);
         EpiFix.push_back(A.jmp32());
         break;
       case Stub::GuardTick:
-        flushHomes(false);
+        // A full flush: the tick may inject a failure (see GuardFail).
+        // Nothing writes the raw arrays, so callee-saved homes stay.
+        flushHomes(true);
         helperCall(rjit_nat_guard_tick, St.Pc);
         A.testRegReg64(RAX, RAX);
         EpiFix.push_back(A.jcc32(CcNe)); // 1 = activation ended
@@ -918,7 +924,7 @@ private:
     for (int32_t Pc = 0; Pc < static_cast<int32_t>(F.Code.size()); ++Pc) {
       if (Pc == SkipA || Pc == SkipB)
         continue;
-      if (boxedReads(F.Code[Pc], Slot))
+      if (lowReadsBoxed(F.Code[Pc], Slot))
         return false;
     }
     return true;
@@ -934,72 +940,6 @@ private:
       if (P.second == Slot)
         return true;
     return false;
-  }
-
-  /// Does \p I read boxed slot \p Slot? Per-op boxed operand positions;
-  /// unknown ops conservatively read everything.
-  static bool boxedReads(const LowInstr &I, uint16_t Slot) {
-    auto InArgRange = [&I, Slot] {
-      return Slot >= I.B &&
-             static_cast<int32_t>(Slot) < static_cast<int32_t>(I.B) + I.Imm;
-    };
-    switch (I.Op) {
-    case LowOp::Move:
-      return static_cast<SlotClass>(I.B) == SlotClass::Boxed && I.A == Slot;
-    case LowOp::Unbox:
-      return I.A == Slot;
-    case LowOp::Coerce:
-      return static_cast<SlotClass>(I.C >> 8) == SlotClass::Boxed &&
-             I.A == Slot;
-    case LowOp::StEnv:
-    case LowOp::StEnvSuper:
-      return I.A == Slot;
-    case LowOp::CallValLow:
-    case LowOp::CallStaticLow:
-      return I.A == Slot || InArgRange();
-    case LowOp::CallBiLow:
-      return InArgRange();
-    case LowOp::ArithTyped:
-      return (I.C & 3) == 0 && (I.A == Slot || I.B == Slot);
-    case LowOp::BinGenLow:
-      return I.A == Slot || I.B == Slot;
-    case LowOp::NegLow:
-    case LowOp::NotLow:
-    case LowOp::AsCondLow:
-    case LowOp::LengthLow:
-    case LowOp::Extract2Typed:
-      return I.A == Slot;
-    case LowOp::Extract2Low:
-    case LowOp::Extract1Low:
-      return I.A == Slot || I.B == Slot;
-    case LowOp::SetElem2Low:
-      return I.A == Slot || I.B == Slot ||
-             (I.Imm >= 0 && static_cast<uint16_t>(I.Imm) == Slot);
-    case LowOp::SetElem2Typed: {
-      // The stored element (Imm) is boxed for non-real/int kinds;
-      // conservatively treat it as boxed for any kind.
-      return I.A == Slot ||
-             (I.Imm >= 0 && static_cast<uint16_t>(I.Imm) == Slot);
-    }
-    case LowOp::SetIdx2EnvLow:
-    case LowOp::SetIdx1EnvLow:
-      return I.A == Slot || I.B == Slot;
-    case LowOp::GuardCond:
-    case LowOp::BranchFalseLow:
-    case LowOp::BranchTrueLow:
-    case LowOp::RetLow:
-      return I.A == Slot;
-    case LowOp::CmpBranch:
-      return ((I.C & 0x7FFF) & 3) == 0 && (I.A == Slot || I.B == Slot);
-    case LowOp::LoadConst:
-    case LowOp::Box:
-    case LowOp::LdEnv:
-    case LowOp::MkClosLow:
-    case LowOp::JumpLow:
-      return false;
-    default:
-      return true;
-    }
   }
 
   /// Attempts to emit the pair at (\p Pc, Pc+1) as one superinstruction.

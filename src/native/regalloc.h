@@ -20,8 +20,9 @@
 /// in its register at every instruction boundary" — which is exactly what
 /// makes side exits and helper calls easy to keep sound: flush homes to
 /// the arrays before any code that reads them, reload after any code that
-/// may write them. Deopt never sees raw slots at all (DeoptMeta maps
-/// boxed slots only), so side-exit stubs need no flushing whatsoever.
+/// may write them. Side-exit stubs flush every home: a failing guard
+/// boxes its frame state's raw values from the arrays (the deferred Box
+/// ops of its DeoptMeta) before the deopt hook runs.
 ///
 /// The linear-scan part is the *assignment order*: candidates are sorted
 /// by descending use weight (uses × loop depth, backedge-interval

@@ -21,17 +21,24 @@ class LowFixture : public ::testing::Test {
 protected:
   BaselineSession S;
 
-  /// Warms and compiles the first closure of \p Source (FullElided when
-  /// possible) and returns the LowFunction.
-  std::unique_ptr<LowFunction> compile(const std::string &Source,
-                                       int FnIdx = 1) {
+  /// Warms and optimizes the first closure of \p Source (FullElided when
+  /// possible) and returns its IR.
+  std::unique_ptr<IrCode> optimize(const std::string &Source, int FnIdx = 1,
+                                   const OptOptions &Opts = {}) {
     S.eval(Source);
     Function *Fn = S.lastModule()->Fns[FnIdx].get();
-    OptOptions Opts;
     auto Ir = optimizeToIr(Fn, CallConv::FullElided, EntryState(), Opts);
     if (!Ir)
       Ir = optimizeToIr(Fn, CallConv::FullEnv, EntryState(), Opts);
     EXPECT_TRUE(Ir);
+    return Ir;
+  }
+
+  /// Like optimize(), lowered to a LowFunction.
+  std::unique_ptr<LowFunction> compile(const std::string &Source,
+                                       int FnIdx = 1,
+                                       const OptOptions &Opts = {}) {
+    auto Ir = optimize(Source, FnIdx, Opts);
     return Ir ? lowerToLow(*Ir) : nullptr;
   }
 
@@ -195,6 +202,188 @@ TEST_F(LowFixture, GuardFailureWithoutHandlerRaises) {
   std::vector<Value> Args;
   Args.push_back(Value::realVec({1.5}));
   EXPECT_THROW(runLow(*F, std::move(Args), nullptr, S.global()), RError);
+}
+
+//===----------------------------------------------------------------------===//
+// Deferred frame-state boxing: a guard's raw frame-state values are boxed
+// by the Box ops of its DeoptMeta, which run only when the guard fails.
+
+namespace {
+
+/// A loop whose in-loop guard (the type of a list element) has eight raw
+/// ints and three raw reals in its frame state.
+const char *RawFrameKernel = R"(
+  k <- function(l, n) {
+    i1 <- 0L; i2 <- 1L; i3 <- 2L; i4 <- 3L
+    i5 <- 4L; i6 <- 5L; i7 <- 6L; i8 <- 7L
+    x <- 0.5; y <- 1.5; z <- 2.5
+    for (i in 1:n) {
+      v <- l[[i]]
+      i1 <- i1 + v; i2 <- i2 + i1; i3 <- i3 + 2L; i4 <- i4 + i3
+      i5 <- i5 + i; i6 <- i6 + i5; i7 <- i7 + 3L; i8 <- i8 + i7
+      x <- x + 0.25; y <- y + x; z <- z * 0.5 + y
+    }
+    c(i1, i2, i3, i4, i5, i6, i7, i8, x, y, z)
+  }
+  li <- vector("list", 40L)
+  for (j in 1:40) li[[j]] <- j %% 5L
+)";
+
+std::vector<bool> backends() {
+  return nativeBackendSupported() ? std::vector<bool>{false, true}
+                                  : std::vector<bool>{false};
+}
+
+bool isRaw(const Instr *V) {
+  return V->Type.isExactly(Tag::Int) || V->Type.isExactly(Tag::Real);
+}
+
+} // namespace
+
+TEST_F(LowFixture, FrameStateBoxesAreDeferredToTheGuard) {
+  auto Ir = optimize(std::string(RawFrameKernel) +
+                     "k(li, 40L); k(li, 40L); k(li, 40L)");
+  ASSERT_TRUE(Ir);
+  // Raw values per guard's frame-state chain, in lowering (RPO) order.
+  std::vector<size_t> RawPerGuard;
+  for (const BB *B : Ir->rpo())
+    for (auto &IP : B->Instrs) {
+      if (IP->Op != IrOp::AssumeIr)
+        continue;
+      size_t Raw = 0;
+      for (const Instr *Fs = IP->op(1)->op(0); Fs; Fs = Fs->parentFs())
+        for (const Instr *V : Fs->Ops)
+          Raw += isRaw(V);
+      RawPerGuard.push_back(Raw);
+    }
+  auto F = lowerToLow(*Ir);
+  ASSERT_EQ(F->Deopts.size(), RawPerGuard.size());
+  size_t Deferred = 0;
+  for (size_t K = 0; K < F->Deopts.size(); ++K) {
+    const DeoptMeta &M = F->Deopts[K];
+    EXPECT_EQ(M.Boxes.size(), RawPerGuard[K])
+        << "guard " << K << ": one deferred Box per raw frame-state value";
+    Deferred += M.Boxes.size();
+    for (const LowInstr &Bx : M.Boxes) {
+      EXPECT_EQ(Bx.Op, LowOp::Box);
+      SlotClass Cls = static_cast<SlotClass>(Bx.C);
+      ASSERT_NE(Cls, SlotClass::Boxed);
+      EXPECT_LT(Bx.A,
+                Cls == SlotClass::RawReal ? F->NumSlotsD : F->NumSlotsI);
+      EXPECT_LT(Bx.Dst, F->NumSlots);
+      auto Names = [&](const std::vector<uint16_t> &Stack,
+                       const std::vector<std::pair<Symbol, uint16_t>> &Env) {
+        return std::count(Stack.begin(), Stack.end(), Bx.Dst) > 0 ||
+               std::any_of(Env.begin(), Env.end(),
+                           [&](auto &E) { return E.second == Bx.Dst; });
+      };
+      bool Named = Names(M.StackSlots, M.EnvSlots);
+      for (const DeoptFrame &Fr : M.Callers)
+        Named = Named || Names(Fr.StackSlots, Fr.EnvSlots);
+      EXPECT_TRUE(Named) << "a deferred Box fills a frame-state slot";
+    }
+  }
+  EXPECT_GE(Deferred, 11u) << "the in-loop guard sees 8 raw ints and 3 "
+                              "raw reals\n"
+                           << printLow(*F);
+  // No Box left in the code writes a temp that only the metadata reads.
+  // The one exception is an edge Box into a boxed phi that only
+  // framestates use (here `i` and `v`, unbound before the loop): a phi
+  // home, written on each incoming edge, not a guard's temp.
+  for (size_t Pc = 0; Pc < F->Code.size(); ++Pc) {
+    const LowInstr &Bx = F->Code[Pc];
+    if (Bx.Op != LowOp::Box)
+      continue;
+    bool Read = std::any_of(F->Code.begin(), F->Code.end(),
+                            [&](const LowInstr &I) {
+                              return lowReadsBoxed(I, Bx.Dst);
+                            });
+    auto Writes = std::count_if(
+        F->Code.begin(), F->Code.end(), [&](const LowInstr &I) {
+          return I.Dst == Bx.Dst &&
+                 (I.Op == LowOp::Box ||
+                  (I.Op == LowOp::Move &&
+                   static_cast<SlotClass>(I.B) == SlotClass::Boxed));
+        });
+    EXPECT_TRUE(Read || Writes > 1)
+        << "box at pc " << Pc << " feeds only deopt metadata\n"
+        << printLow(*F);
+  }
+  std::string P = printLow(*F);
+  EXPECT_NE(P.find(" box d"), std::string::npos)
+      << "dumps list each guard's deferred boxes:\n"
+      << P;
+}
+
+namespace {
+
+/// The caller's frame holds raw values across the inlined call: locals
+/// and the partial sum `b + a` on its operand stack.
+const char *InlinedRawCaller = R"(
+  inner <- function(l, i) l[[i]] * 2L
+  outer <- function(l, n) {
+    a <- 0L; b <- 1L; x <- 0.5
+    for (i in 1:n) {
+      a <- a + i
+      b <- b + a + inner(l, i)
+      x <- x * 0.5 + a
+    }
+    c(a, b, x)
+  }
+  li <- vector("list", 40L)
+  for (j in 1:40) li[[j]] <- j %% 5L
+  lr <- li
+  lr[[20L]] <- 2.5
+)";
+
+} // namespace
+
+TEST_F(LowFixture, InlinedGuardsDeferCallerFrameBoxes) {
+  OptOptions Opts;
+  Opts.Inline.Enabled = true;
+  auto F = compile(std::string(InlinedRawCaller) +
+                       "outer(li, 40L); outer(li, 40L); outer(li, 40L)",
+                   2, Opts);
+  ASSERT_TRUE(F);
+  bool Found = false;
+  for (const DeoptMeta &M : F->Deopts)
+    for (const DeoptFrame &Fr : M.Callers)
+      for (const LowInstr &Bx : M.Boxes)
+        Found = Found || std::count(Fr.StackSlots.begin(),
+                                    Fr.StackSlots.end(), Bx.Dst) > 0;
+  EXPECT_TRUE(Found) << "an inlined guard's caller frame holds `b + a` "
+                        "through a deferred box\n"
+                     << printLow(*F);
+}
+
+TEST(DeferredBoxes, InlinedCalleeFailureRebuildsRawCallerFrames) {
+  // The callee's guard fails on a real list element, so the caller frames
+  // are rebuilt from the deferred boxes: by OSR-out under Normal, from the
+  // deoptless continuation's arguments under Deoptless.
+  auto Run = [](TierStrategy S, bool Native) {
+    Vm::Config Cfg;
+    Cfg.Strategy = S;
+    Cfg.NativeTier = Native;
+    Cfg.Inlining = true;
+    Vm V(Cfg);
+    V.eval(InlinedRawCaller);
+    for (int K = 0; K < 6; ++K)
+      V.eval("outer(li, 40L)");
+    std::string R = V.eval("outer(lr, 40L)").show();
+    return R + " | " + V.eval("outer(lr, 40L)").show() + " | " +
+           V.eval("outer(li, 40L)").show();
+  };
+  std::string Base = Run(TierStrategy::BaselineOnly, false);
+  for (bool Native : backends()) {
+    resetStats();
+    EXPECT_EQ(Run(TierStrategy::Normal, Native), Base) << "native=" << Native;
+    EXPECT_GT(stats().InlinedCalls, 0u) << "inner must be inlined";
+    EXPECT_GT(stats().MultiFrameDeopts, 0u) << "native=" << Native;
+    resetStats();
+    EXPECT_EQ(Run(TierStrategy::Deoptless, Native), Base)
+        << "native=" << Native;
+    EXPECT_GT(stats().DeoptlessInlineDispatches, 0u) << "native=" << Native;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -373,15 +562,6 @@ TEST(LastUseMoves, ConstPhiInputIsNeverMoved) {
   ASSERT_TRUE(In);
   EXPECT_EQ(In->C, 0);
 }
-
-namespace {
-
-std::vector<bool> backends() {
-  return nativeBackendSupported() ? std::vector<bool>{false, true}
-                                  : std::vector<bool>{false};
-}
-
-} // namespace
 
 TEST(LastUseMoves, SelfAliasingStoreKeepsTheStoredValue) {
   // `v[[2L]] <- v` reads the container twice: as the store's target and

@@ -338,6 +338,72 @@ TEST(NativeV2, RegisterAllocationSpillsDeterministically) {
   EXPECT_EQ(X->run({}, nullptr, nullptr).asIntUnchecked(), 55);
 }
 
+TEST(NativeV2, GuardExitsBoxRegisterHomes) {
+  if (!nativeBackendSupported())
+    GTEST_SKIP() << "no native backend on this host";
+  // Eight raw ints and three raw reals are live across the in-loop guard
+  // on a list element's type, so the hottest ints sit in callee-saved
+  // homes (rbp/r15), the rest in caller-saved ones, and the reals in XMM
+  // homes. The guard sits at the last statement, after the updates, so
+  // the homes have changed since the extract's helper call last flushed
+  // them; i2 and i3, read four times each, are the hottest. A failing
+  // guard boxes them from the slot arrays: both side exits, the real
+  // failure (GuardFail) and the injected one (GuardTick), must flush
+  // every home first.
+  const char *Setup = R"(
+    k <- function(l, n) {
+      i1 <- 0L; i2 <- 1L; i3 <- 2L; i4 <- 3L
+      i5 <- 4L; i6 <- 5L; i7 <- 6L; i8 <- 7L
+      x <- 0.5; y <- 1.5; z <- 2.5
+      for (i in 1:n) {
+        v <- l[[i]]
+        i2 <- i2 + 1L; i3 <- i3 + i2 + i2 + i2 + i2
+        i4 <- i4 + i3 + i3 + i3 + i3
+        i5 <- i5 + i; i6 <- i6 + i5; i7 <- i7 + 3L; i8 <- i8 + i7
+        x <- x + 0.25; y <- y + x; z <- z * 0.5 + y
+        i1 <- i1 + v
+      }
+      c(i1, i2, i3, i4, i5, i6, i7, i8, x, y, z)
+    }
+    li <- vector("list", 40L)
+    for (j in 1:40) li[[j]] <- j %% 5L
+    lr <- li
+    lr[[23L]] <- 2.5
+  )";
+  std::string BaseI = runUnder(cfg(TierStrategy::BaselineOnly, false),
+                               Setup, "k(li, 40L)", 1);
+  std::string BaseR = runUnder(cfg(TierStrategy::BaselineOnly, false),
+                               Setup, "k(lr, 40L)", 1);
+  for (TierStrategy S : {TierStrategy::Normal, TierStrategy::Deoptless}) {
+    // A real failure: the 23rd element is a double on a later call.
+    {
+      Vm V(v2cfg(S));
+      V.eval(Setup);
+      for (int K = 0; K < 6; ++K)
+        EXPECT_EQ(V.eval("k(li, 40L)").show(), BaseI);
+      ASSERT_GT(stats().NativeEnters, 0u);
+      ASSERT_EQ(stats().AssumeFailures, 0u);
+      EXPECT_EQ(V.eval("k(lr, 40L)").show(), BaseR)
+          << "strategy " << static_cast<int>(S);
+      EXPECT_GT(stats().AssumeFailures, 0u);
+      EXPECT_EQ(V.eval("k(li, 40L)").show(), BaseI);
+    }
+    // Injected failures through the countdown slow path.
+    {
+      Vm::Config C = v2cfg(S);
+      C.InvalidationRate = 7;
+      C.InvalidationSeed = 5;
+      Vm V(C);
+      V.eval(Setup);
+      for (int K = 0; K < 20; ++K)
+        EXPECT_EQ(V.eval("k(li, 40L)").show(), BaseI)
+            << "strategy " << static_cast<int>(S) << " call " << K;
+      EXPECT_GT(stats().NativeEnters, 0u);
+      EXPECT_GT(stats().InjectedFailures, 0u);
+    }
+  }
+}
+
 TEST(NativeV2, FusionFiresAndPreservesResults) {
   if (!nativeBackendSupported())
     GTEST_SKIP() << "no native backend on this host";
