@@ -134,6 +134,106 @@ bool rjit::lowReadsBoxed(const LowInstr &I, uint16_t Slot) {
   return true;
 }
 
+LowRawUseDef rjit::lowRawUseDef(const LowFunction &F, const LowInstr &I) {
+  LowRawUseDef UD;
+  auto Read = [&UD](SlotClass K, uint16_t Slot) {
+    if (K != SlotClass::Boxed)
+      UD.Reads.push_back({K, Slot});
+  };
+  auto Write = [&UD](SlotClass K, uint16_t Slot) {
+    if (K != SlotClass::Boxed)
+      UD.Writes.push_back({K, Slot});
+  };
+  // The raw class of a typed op's rank (ArithTyped, CmpBranch); rank 0
+  // (complex) operands are boxed.
+  auto RankClass = [](int Rank) {
+    return Rank == 2   ? SlotClass::RawReal
+           : Rank == 1 ? SlotClass::RawInt
+                       : SlotClass::Boxed;
+  };
+  auto KindClass = [](Tag K) {
+    return K == Tag::Real  ? SlotClass::RawReal
+           : K == Tag::Int ? SlotClass::RawInt
+                           : SlotClass::Boxed;
+  };
+  // Every op is listed, so a new one breaks the -Wswitch build here.
+  switch (I.Op) {
+  case LowOp::LoadConst:
+    Write(static_cast<SlotClass>(I.B), I.Dst);
+    break;
+  case LowOp::Move:
+    Read(static_cast<SlotClass>(I.B), I.A);
+    Write(static_cast<SlotClass>(I.B), I.Dst);
+    break;
+  case LowOp::Box:
+    Read(static_cast<SlotClass>(I.C), I.A);
+    break;
+  case LowOp::Unbox:
+    Write(static_cast<SlotClass>(I.C), I.Dst);
+    break;
+  case LowOp::Coerce:
+    Read(static_cast<SlotClass>(I.C >> 8), I.A);
+    Write(static_cast<SlotClass>(I.B), I.Dst);
+    break;
+  case LowOp::ArithTyped: {
+    BinOp Op = static_cast<BinOp>(I.C >> 2);
+    SlotClass K = RankClass(I.C & 3);
+    Read(K, I.A);
+    Read(K, I.B);
+    bool Cmp = Op == BinOp::Eq || Op == BinOp::Ne || Op == BinOp::Lt ||
+               Op == BinOp::Le || Op == BinOp::Gt || Op == BinOp::Ge;
+    if (!Cmp) // compares box their result
+      Write(K, I.Dst);
+    break;
+  }
+  case LowOp::CmpBranch: {
+    SlotClass K = RankClass((I.C & 0x7FFF) & 3);
+    Read(K, I.A);
+    Read(K, I.B);
+    break;
+  }
+  case LowOp::Extract2Typed:
+    Read(SlotClass::RawInt, I.B);
+    Write(KindClass(static_cast<Tag>(I.C)), I.Dst);
+    break;
+  case LowOp::SetElem2Typed:
+    Read(SlotClass::RawInt, I.B);
+    if (I.Imm >= 0)
+      Read(KindClass(static_cast<Tag>(I.C & 0xFF)),
+           static_cast<uint16_t>(I.Imm));
+    break;
+  case LowOp::LengthLow:
+    Write(SlotClass::RawInt, I.Dst);
+    break;
+  case LowOp::GuardCond:
+    for (const LowInstr &B : F.Deopts[I.Imm].Boxes)
+      Read(static_cast<SlotClass>(B.C), B.A);
+    break;
+  case LowOp::LdEnv:
+  case LowOp::StEnv:
+  case LowOp::StEnvSuper:
+  case LowOp::MkClosLow:
+  case LowOp::CallValLow:
+  case LowOp::CallBiLow:
+  case LowOp::CallStaticLow:
+  case LowOp::BinGenLow:
+  case LowOp::NegLow:
+  case LowOp::NotLow:
+  case LowOp::AsCondLow:
+  case LowOp::Extract2Low:
+  case LowOp::Extract1Low:
+  case LowOp::SetElem2Low:
+  case LowOp::SetIdx2EnvLow:
+  case LowOp::SetIdx1EnvLow:
+  case LowOp::JumpLow:
+  case LowOp::BranchFalseLow:
+  case LowOp::BranchTrueLow:
+  case LowOp::RetLow:
+    break; // boxed operands only
+  }
+  return UD;
+}
+
 std::string rjit::printLow(const LowFunction &F) {
   std::string S = "lowfn ";
   S += F.Origin ? symbolName(F.Origin->Name) : "?";

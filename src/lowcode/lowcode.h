@@ -94,6 +94,26 @@ struct LowInstr {
 /// not an instruction and is not consulted.
 bool lowReadsBoxed(const LowInstr &I, uint16_t Slot);
 
+struct LowFunction;
+
+/// One raw operand: a RawReal or RawInt slot (per-class slot number).
+struct RawSlotRef {
+  SlotClass K;
+  uint16_t Slot;
+};
+
+/// The raw slots one instruction reads and writes when it executes.
+struct LowRawUseDef {
+  std::vector<RawSlotRef> Reads;
+  std::vector<RawSlotRef> Writes;
+};
+
+/// The raw int and raw real slots \p I (an instruction of \p F) reads and
+/// writes. A GuardCond reads the A operands of its DeoptMeta::Boxes: a
+/// failing guard boxes them from the raw arrays before the deopt hook runs.
+/// Every other op reads and writes exactly its encoded raw operands.
+LowRawUseDef lowRawUseDef(const LowFunction &F, const LowInstr &I);
+
 /// One synthesized interpreter frame of a caller whose call was inlined:
 /// the compiled form of a return-framestate in the frame-state chain. On
 /// OSR-out the runtime pushes the inner frame's result onto this frame's

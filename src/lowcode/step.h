@@ -48,7 +48,8 @@ bool lowGuardHolds(const LowInstr &I, const DeoptMeta &M, const Value *S);
 /// Runs \p M's deferred frame-state Box ops, filling the boxed temps its
 /// slot maps name from the raw slots. Called by both backends when the
 /// guard fails, right before the deopt hook; the raw arrays must be
-/// current (the native tier flushes its register homes first).
+/// current for the boxes' operands (the native tier stores those
+/// register homes first).
 void materializeDeoptState(const DeoptMeta &M, Value *S, const double *D,
                            const int32_t *Iv);
 

@@ -152,6 +152,12 @@ public:
     mem(0, Base, Disp);
     u32(Imm);
   }
+  void movMem8Imm8(uint8_t Base, int32_t Disp, uint8_t Imm) {
+    rexOpt(0, 0, Base);
+    u8(0xC6);
+    mem(0, Base, Disp);
+    u8(Imm);
+  }
   void movzxRegMem8(uint8_t Dst, uint8_t Base, int32_t Disp) {
     rexOpt(0, Dst, Base);
     u8(0x0F);

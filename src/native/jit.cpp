@@ -2,18 +2,27 @@
 //
 // Part of the deoptless reproduction. MIT license.
 //
-// Template stitching with three v2 layers on top (each independently
-// switchable via NativeTierOptions; all-off reproduces the template-only
-// tier):
+// Template stitching: typed raw-slot ops compile to inline templates, and
+// every other op to a call into the interpreter's single-op handler. Box
+// and boxed Move have templates too: they store the tag and payload (or
+// copy the 24-byte Value) when no refcount traffic is needed, and take
+// the handler through a slow stub otherwise. Three v2 layers sit on top
+// (each independently switchable via NativeTierOptions; all-off
+// reproduces the template-only tier):
 //
 //  * Register allocation (native/regalloc.*): hot raw int/double slots get
-//    whole-function register homes. The invariant is pc-independent — "a
-//    homed slot's current value is in its register at every instruction
-//    boundary" — so arbitrary LowCode jumps need no per-edge fixup code.
-//    Helper calls flush caller-saved homes and reload after; helpers that
-//    read the raw arrays get a full flush. Side exits are such helpers:
-//    a failing guard boxes its frame state's raw values from the arrays
-//    (materializeDeoptState) before the deopt hook runs.
+//    whole-function register homes, so arbitrary LowCode jumps need no
+//    per-edge fixup code. The invariant — "every live homed slot's
+//    current value is in its register at every instruction boundary" —
+//    rests on the allocator's per-pc home liveness. A helper call stores
+//    the homes its op reads (lowRawUseDef) plus the live caller-saved
+//    homes, and reloads the live homes its op writes plus those same
+//    caller-saved homes; callee-saved homes the op does not touch stay
+//    put, and a home whose array copy is already current (stored or
+//    reloaded earlier in the same straight-line run) is not stored
+//    again. A side exit reads only its guard's deferred boxes: a failing
+//    guard boxes those raw values from the arrays (materializeDeoptState)
+//    before the deopt hook runs.
 //
 //  * Superinstruction fusion: recurring template pairs collapse into one
 //    template. arith+move computes once and stores both destinations;
@@ -308,7 +317,8 @@ namespace {
 /// The guard-failure protocol of the interpreter's GuardCond case: count
 /// the failure, box the frame state's raw values and (tail-)call the
 /// installed deopt hook — its result is the result of this activation.
-/// Always ends the activation. The stubs flush every home first.
+/// Always ends the activation. The stubs store the homes the guard's
+/// deferred boxes read first.
 void guardDeopt(NativeFrame *Fr, int32_t Pc, bool Injected) {
   const LowInstr &I = Fr->F->Code[Pc];
   try {
@@ -417,14 +427,18 @@ public:
         if (P.HeaderPc == Pc)
           emitPinHoist(P);
       InstrOff.push_back(A.size());
+      if (JumpTarget[Pc])
+        Clean = 0;
       if (Opts.Fusion && tryFuse(Pc)) {
         // Keep InstrOff pc-indexed; the swallowed slot is never a jump
         // target (tryFuse checked), so the offset is never consulted.
         InstrOff.push_back(A.size());
-        ++Pc;
+        settleClean(Pc);
+        settleClean(++Pc);
         continue;
       }
       emitInstr(Pc, F.Code[Pc]);
+      settleClean(Pc);
     }
     A.ud2(); // falling off the end is malformed LowCode
 
@@ -443,6 +457,7 @@ public:
 
   uint32_t fusedOps() const { return Fused; }
   uint32_t regSpills() const { return RA.Spills; }
+  uint32_t homeSyncs() const { return HomeSyncs; }
 
 private:
   const LowFunction &F;
@@ -456,6 +471,11 @@ private:
   std::vector<bool> JumpTarget;
   std::vector<int32_t> LinkSitePcs;
   uint32_t Fused = 0;
+  uint32_t HomeSyncs = 0; ///< home stores + reloads at helper sites/exits
+  /// Homes whose slot-array entry equals the register at the current
+  /// emission point. Straight-line facts only: cleared at every jump
+  /// target. A helper site skips storing clean homes.
+  uint32_t Clean = 0;
 
   struct Stub {
     enum Kind {
@@ -473,7 +493,14 @@ private:
     /// the extract's destination slot before resuming.
     int32_t ScratchRealSlot = -1;
     int32_t ScratchIntSlot = -1;
+    uint32_t Clean = 0; ///< the Clean mask at the jumping site
   };
+
+  /// A stub for the instruction at \p Pc, entered from the current
+  /// emission point.
+  Stub newStub(int32_t Pc, Stub::Kind K) const {
+    return Stub{Pc, K, {}, 0, -1, -1, Clean};
+  }
   std::vector<Stub> Stubs;
 
   //===-- Frame/slot addressing -------------------------------------------//
@@ -505,8 +532,8 @@ private:
   }
 
   /// Writes a raw-int slot from \p Src (register): to its home, or to the
-  /// slot array. A homed slot's array entry is NOT kept current — that is
-  /// what flushHomes is for.
+  /// slot array. A homed slot's array entry is NOT kept current — the
+  /// helper-site sync stores it where a helper needs it.
   void intStore(uint16_t Slot, uint8_t Src) {
     int16_t H = RA.intHome(Slot);
     if (H >= 0) {
@@ -535,43 +562,73 @@ private:
     }
   }
 
-  /// Stores homed slots back to their slot arrays. \p All=false syncs only
-  /// the caller-saved homes (every XMM, plus r8-r11) — enough to preserve
-  /// their *values* across a C call; \p All=true also syncs the
-  /// callee-saved homes so a helper that *reads the raw arrays* sees
-  /// current values.
-  void flushHomes(bool All) {
+  /// Stores (or, with \p Load, loads) the homes in \p Mask against
+  /// their slot arrays. Pure moves — never disturbs EFLAGS, so a reload
+  /// may sit between a test and its jcc.
+  void moveHomes(uint32_t Mask, bool Load) {
     for (size_t Slot = 0; Slot < RA.IntHome.size(); ++Slot) {
       int16_t H = RA.IntHome[Slot];
-      if (H >= 0 && (All || !natGprCalleeSaved(static_cast<uint8_t>(H))))
+      if (H < 0 || !(Mask & natGprBit(static_cast<uint8_t>(H))))
+        continue;
+      if (Load)
+        A.movRegMem32(static_cast<uint8_t>(H), R14,
+                      iOff(static_cast<uint16_t>(Slot)));
+      else
         A.movMemReg32(R14, iOff(static_cast<uint16_t>(Slot)),
                       static_cast<uint8_t>(H));
     }
     for (size_t Slot = 0; Slot < RA.RealHome.size(); ++Slot) {
       int16_t H = RA.RealHome[Slot];
-      if (H >= 0)
+      if (H < 0 || !(Mask & natXmmBit(static_cast<uint8_t>(H))))
+        continue;
+      if (Load)
+        A.movsdXmmMem(static_cast<uint8_t>(H), R13,
+                      dOff(static_cast<uint16_t>(Slot)));
+      else
         A.movsdMemXmm(R13, dOff(static_cast<uint16_t>(Slot)),
                       static_cast<uint8_t>(H));
     }
   }
 
-  /// Loads homed slots from their slot arrays: after a C call clobbered
-  /// the caller-saved homes, or (\p All) after a helper may have written
-  /// the raw arrays. Pure moves — never disturbs EFLAGS, so a reload may
-  /// sit between a test and its jcc.
-  void reloadHomes(bool All) {
-    for (size_t Slot = 0; Slot < RA.IntHome.size(); ++Slot) {
-      int16_t H = RA.IntHome[Slot];
-      if (H >= 0 && (All || !natGprCalleeSaved(static_cast<uint8_t>(H))))
-        A.movRegMem32(static_cast<uint8_t>(H), R14,
-                      iOff(static_cast<uint16_t>(Slot)));
+  /// moveHomes at a helper site or side exit, counted for
+  /// NativeHomeSyncs.
+  void syncHomes(uint32_t Mask, bool Load) {
+    HomeSyncs += static_cast<uint32_t>(__builtin_popcount(Mask));
+    moveHomes(Mask, Load);
+  }
+
+  /// A helper call standing in for the op at \p Pc, bracketed by the
+  /// home sync: before the call, the homes the op reads plus the live
+  /// caller-saved homes the call clobbers (those the op overwrites
+  /// excepted, and clean ones skipped); after it, the live homes the op
+  /// writes plus those same caller-saved homes. Callee-saved homes the
+  /// op neither reads nor writes stay in their registers. Leaves the
+  /// activation (parked exception or ended deopt) when `test rax, rax`
+  /// meets \p ExitCc; the flags of that test survive the reload.
+  template <typename Fn>
+  void emitSyncedCall(int32_t Pc, Fn *Target, int32_t Arg, Cc ExitCc) {
+    uint32_t Store = 0, Reload = 0;
+    if (!RA.LiveOut.empty()) {
+      uint32_t Live = RA.LiveOut[Pc];
+      uint32_t Clobbered = Live & ~NatCalleeSavedHomes;
+      Store = (RA.Uses[Pc] | (Clobbered & ~RA.Defs[Pc])) & ~Clean;
+      Reload = (RA.Defs[Pc] & Live) | Clobbered;
     }
-    for (size_t Slot = 0; Slot < RA.RealHome.size(); ++Slot) {
-      int16_t H = RA.RealHome[Slot];
-      if (H >= 0)
-        A.movsdXmmMem(static_cast<uint8_t>(H), R13,
-                      dOff(static_cast<uint16_t>(Slot)));
-    }
+    syncHomes(Store, /*Load=*/false);
+    helperCall(Target, Arg);
+    A.testRegReg64(RAX, RAX);
+    EpiFix.push_back(A.jcc32(ExitCc));
+    syncHomes(Reload, /*Load=*/true);
+    // Caller-saved homes left clobbered are dead; settleClean drops them.
+    Clean |= Store | Reload;
+  }
+
+  /// Ends the instruction at \p Pc for the Clean mask: homes it wrote are
+  /// dirty, and dead homes drop out (a helper may have clobbered them
+  /// without a reload).
+  void settleClean(int32_t Pc) {
+    if (!RA.LiveOut.empty())
+      Clean &= RA.LiveOut[Pc] & ~RA.Defs[Pc];
   }
 
   //===-- Loop-invariant vector pins --------------------------------------//
@@ -641,15 +698,10 @@ private:
   }
 
   /// Fallback template: run the op via the interpreter handler, bail to
-  /// the epilogue on a parked exception. The handler may read or write
-  /// any raw slot, so homes round-trip the arrays completely.
-  void emitStep(int32_t Pc) {
-    flushHomes(true);
-    helperCall(rjit_nat_step, Pc);
-    A.testRegReg64(RAX, RAX);
-    EpiFix.push_back(A.jcc32(CcS));
-    reloadHomes(true);
-  }
+  /// the epilogue on a parked exception. The handler reads and writes
+  /// exactly the op's raw operands, so only those homes and the live
+  /// caller-saved ones round-trip the arrays.
+  void emitStep(int32_t Pc) { emitSyncedCall(Pc, rjit_nat_step, Pc, CcS); }
 
   void emitPrologue() {
     // 5 callee-saved pushes + the return address = 48 bytes: rsp stays
@@ -669,7 +721,7 @@ private:
     A.movRegMem64(R13, RBX, offsetof(NativeFrame, D));
     A.movRegMem64(R14, RBX, offsetof(NativeFrame, Iv));
     // Establish the home invariant from the freshly spilled entry state.
-    reloadHomes(true);
+    moveHomes(RA.EntryLive, /*Load=*/true);
   }
 
   size_t emitEpilogue() {
@@ -689,25 +741,24 @@ private:
 
   void emitStubs() {
     for (const Stub &St : Stubs) {
+      Clean = St.Clean;
       size_t Here = A.size();
       for (size_t Site : St.Sites)
         A.patchRel32(Site, Here);
       switch (St.K) {
       case Stub::GuardFail:
-        // The deferred frame-state boxes read the raw arrays, so every
-        // home is flushed; the activation ends here — no reload.
-        flushHomes(true);
+        // The deferred frame-state boxes read their raw operands from the
+        // arrays; the activation ends here — nothing else is stored and
+        // nothing reloaded.
+        if (!RA.LiveOut.empty())
+          syncHomes(RA.Uses[St.Pc] & ~Clean, /*Load=*/false);
         helperCall(rjit_nat_guard_fail, St.Pc);
         EpiFix.push_back(A.jmp32());
         break;
       case Stub::GuardTick:
-        // A full flush: the tick may inject a failure (see GuardFail).
-        // Nothing writes the raw arrays, so callee-saved homes stay.
-        flushHomes(true);
-        helperCall(rjit_nat_guard_tick, St.Pc);
-        A.testRegReg64(RAX, RAX);
-        EpiFix.push_back(A.jcc32(CcNe)); // 1 = activation ended
-        reloadHomes(false);
+        // The tick may inject a failure (see GuardFail): the guard's
+        // reads are its deferred boxes. 1 = activation ended.
+        emitSyncedCall(St.Pc, rjit_nat_guard_tick, St.Pc, CcNe);
         emitPinReloads(St.Pc); // the helper clobbered caller-saved pins
         A.patchRel32(A.jmp32(), St.Resume);
         break;
@@ -1085,15 +1136,17 @@ private:
     }
     case LowOp::Move: {
       SlotClass K = static_cast<SlotClass>(I.B);
-      if (K == SlotClass::RawReal) {
+      if (K == SlotClass::RawReal)
         realStore(I.Dst, realSrc(I.A, 0));
-      } else if (K == SlotClass::RawInt) {
+      else if (K == SlotClass::RawInt)
         intStore(I.Dst, intSrc(I.A, RAX));
-      } else {
-        emitStep(Pc); // boxed: refcounted copy/steal
-      }
+      else
+        emitBoxedMove(Pc, I);
       return;
     }
+    case LowOp::Box:
+      emitBox(Pc, I);
+      return;
     case LowOp::Unbox:
       // Reading a payload needs no refcount traffic: bit-copy it into the
       // raw home (the tag was guaranteed by the guard that dominates
@@ -1184,11 +1237,8 @@ private:
       return;
     case LowOp::BranchFalseLow:
     case LowOp::BranchTrueLow:
-      flushHomes(false);
-      helperCall(rjit_nat_cond, I.A);
-      A.testRegReg64(RAX, RAX);
-      EpiFix.push_back(A.jcc32(CcS)); // -1: exception parked
-      reloadHomes(false);             // moves: EFLAGS survive
+      // -1: exception parked; the reload's moves keep EFLAGS.
+      emitSyncedCall(Pc, rjit_nat_cond, I.A, CcS);
       PcFix.push_back(
           {A.jcc32(I.Op == LowOp::BranchFalseLow ? CcE : CcNe), I.Imm});
       return;
@@ -1205,7 +1255,7 @@ private:
       return;
     case LowOp::RetLow:
       // The activation ends: nothing reads the raw arrays or the homes
-      // again, so no flush.
+      // again, so no sync.
       helperCall(rjit_nat_ret, I.A);
       EpiFix.push_back(A.jmp32());
       return;
@@ -1218,17 +1268,75 @@ private:
   /// A CallValLow/CallStaticLow under direct linking: allocate a LinkSite
   /// and route through the link helper (fast path: vmLinkedCall; miss:
   /// the interpreter handler + site bookkeeping). The callee runs
-  /// arbitrary code, so caller-saved homes round-trip memory; raw arrays
-  /// are untouched by any call machinery (arguments and results are
-  /// boxed), so callee-saved homes stay valid.
+  /// arbitrary code, so live caller-saved homes round-trip memory; raw
+  /// arrays are untouched by any call machinery (arguments and results
+  /// are boxed), so callee-saved homes stay valid.
   void emitLinkedCall(int32_t Pc) {
     int32_t Idx = static_cast<int32_t>(LinkSitePcs.size());
     LinkSitePcs.push_back(Pc);
-    flushHomes(false);
-    helperCall(rjit_nat_call_linked, Idx);
-    A.testRegReg64(RAX, RAX);
-    EpiFix.push_back(A.jcc32(CcS));
-    reloadHomes(false);
+    emitSyncedCall(Pc, rjit_nat_call_linked, Idx, CcS);
+  }
+
+  /// Adds a site to \p Slow that is taken when boxed slot \p Slot holds
+  /// a heap payload (tag above Cplx: a refcounted object, or a builtin).
+  void slowIfHeap(Stub &Slow, uint16_t Slot) {
+    A.cmpMem8Imm8(R12, sOff(Slot, ValueLayout::Tag),
+                  static_cast<uint8_t>(Tag::Cplx));
+    Slow.Sites.push_back(A.jcc32(CcA));
+  }
+
+  /// Box: S[Dst] <- Value::real/integer(raw A). When the overwritten
+  /// destination holds no heap payload there is nothing to release, so
+  /// the template stores the tag and the payload (an int zero-extended,
+  /// exactly as Value::integer leaves it); otherwise the StepSlow stub
+  /// runs the handler.
+  void emitBox(int32_t Pc, const LowInstr &I) {
+    Stub Slow = newStub(Pc, Stub::StepSlow);
+    slowIfHeap(Slow, I.Dst);
+    Tag T;
+    if (static_cast<SlotClass>(I.C) == SlotClass::RawReal) {
+      A.movsdMemXmm(R12, sOff(I.Dst, ValueLayout::Payload),
+                    realSrc(I.A, 0));
+      T = Tag::Real;
+    } else {
+      uint8_t R = intSrc(I.A, RAX);
+      if (R != RAX)
+        A.movRegReg32(RAX, R);
+      A.movMemReg64(R12, sOff(I.Dst, ValueLayout::Payload), RAX);
+      T = Tag::Int;
+    }
+    A.movMem8Imm8(R12, sOff(I.Dst, ValueLayout::Tag),
+                  static_cast<uint8_t>(T));
+    Slow.Resume = A.size();
+    Stubs.push_back(std::move(Slow));
+  }
+
+  /// Boxed Move: S[Dst] <- S[A], or <- std::move(S[A]) when C=1 steals.
+  /// The template copies the 24-byte Value when that needs no refcount
+  /// traffic: the overwritten destination holds no heap payload, and a
+  /// copied (not stolen) source holds none either — a steal hands its
+  /// reference over unchanged. A steal then leaves the source exactly as
+  /// Value&& does: tag Null, payload pointer null. Every other case runs
+  /// the handler through the StepSlow stub; a self-move is a no-op.
+  void emitBoxedMove(int32_t Pc, const LowInstr &I) {
+    if (I.Dst == I.A)
+      return;
+    Stub Slow = newStub(Pc, Stub::StepSlow);
+    if (!I.C)
+      slowIfHeap(Slow, I.A);
+    slowIfHeap(Slow, I.Dst);
+    for (int32_t Off = 0; Off < ValueStride; Off += 8) {
+      A.movRegMem64(RAX, R12, sOff(I.A, Off));
+      A.movMemReg64(R12, sOff(I.Dst, Off), RAX);
+    }
+    if (I.C) {
+      A.movMem8Imm8(R12, sOff(I.A, ValueLayout::Tag),
+                    static_cast<uint8_t>(Tag::Null));
+      A.movRegImm32(RAX, 0);
+      A.movMemReg64(R12, sOff(I.A, ValueLayout::Payload), RAX);
+    }
+    Slow.Resume = A.size();
+    Stubs.push_back(std::move(Slow));
   }
 
   /// Signed-integer condition code for a compare operator.
@@ -1307,15 +1415,10 @@ private:
       PcFix.push_back({A.jcc32(Sense ? C : ccNot(C)), I.Imm});
       return;
     }
-    // Complex rank: the handler computes taken-ness from the raw/boxed
-    // arrays — flush everything. It never writes, so only caller-saved
-    // homes need reloading, and those reloads (moves) preserve the flags
-    // the branch below consumes.
-    flushHomes(true);
-    helperCall(rjit_nat_cmpbranch, Pc);
-    A.testRegReg64(RAX, RAX);
-    EpiFix.push_back(A.jcc32(CcS));
-    reloadHomes(false);
+    // Complex rank: the handler compares boxed operands. The reloads of
+    // the live caller-saved homes (moves) preserve the flags the branch
+    // below consumes.
+    emitSyncedCall(Pc, rjit_nat_cmpbranch, Pc, CcS);
     PcFix.push_back({A.jcc32(CcNe), I.Imm});
   }
 
@@ -1341,7 +1444,7 @@ private:
     Tag VecTag = K == Tag::Real ? Tag::RealVec : Tag::IntVec;
     uint8_t ScaleLog = K == Tag::Real ? 3 : 2;
 
-    Stub Slow{Pc, Stub::StepSlow, {}, 0, -1, -1};
+    Stub Slow = newStub(Pc, Stub::StepSlow);
     if (const PinInfo *P = pinFor(Pc, I.A, K)) {
       // Pinned: the loop header already verified the tag and hoisted the
       // element pointer; what remains is the bounds check against the
@@ -1426,7 +1529,7 @@ private:
                   reinterpret_cast<uint64_t>(&stats().AssumeChecks));
     A.lockIncMem64(RAX, 0);
 
-    Stub Fail{Pc, Stub::GuardFail, {}, 0, -1, -1};
+    Stub Fail = newStub(Pc, Stub::GuardFail);
     switch (I.C) {
     case 0: // tag speculation
       A.cmpMem8Imm8(R12, sOff(I.A, ValueLayout::Tag),
@@ -1465,7 +1568,7 @@ private:
     // model watchpoint-invalidated global assumptions, see exec.cpp).
     // The fast path is one load + one compare when the mode is off.
     if (I.C != 2) {
-      Stub Tick{Pc, Stub::GuardTick, {}, 0, -1, -1};
+      Stub Tick = newStub(Pc, Stub::GuardTick);
       A.movRegMem64(RAX, RBX, offsetof(NativeFrame, Hooks));
       A.cmpMem64Imm32(
           RAX, static_cast<int32_t>(offsetof(LowHooks,
@@ -1572,6 +1675,7 @@ public:
     ++stats().NativeCompiles;
     stats().NativeFusedOps += St.fusedOps();
     stats().NativeRegSpills += St.regSpills();
+    stats().NativeHomeSyncs += St.homeSyncs();
     return std::make_unique<NativeExecutable>(
         std::move(Low), Arena, Entry, std::move(SitePcs),
         Opts.Linking ? &Linker : nullptr);

@@ -13,6 +13,8 @@
 ///  * typed raw-slot ops (RawReal/RawInt arithmetic, compares, fused
 ///    compare-and-branch, Move/Unbox/Coerce between raw classes) become
 ///    straight-line loads/stores/ALU ops — no dispatch, no operand decode;
+///  * scalar Box and boxed Move store or copy the Value inline when no
+///    refcount traffic is needed, and call the handler otherwise;
 ///  * guard instructions become an inline test plus an out-of-line
 ///    side-exit stub that calls the existing DeoptMeta-indexed deopt hook
 ///    with the live boxed-slot array, so true deoptimization, deoptless

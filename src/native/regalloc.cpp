@@ -139,6 +139,46 @@ bool mayDefIntSlot(const LowInstr &I) {
   }
 }
 
+/// Backward liveness over the homed slots, iterated to a fixpoint: fills
+/// RA.Uses/Defs/LiveOut (per pc) and RA.EntryLive. A guard's deferred
+/// boxes are reads at the guard (lowRawUseDef), so a raw local that only
+/// a frame state needs stays live up to every guard that may box it.
+void computeHomeLiveness(const LowFunction &F, RegAllocation &RA) {
+  const int32_t N = static_cast<int32_t>(F.Code.size());
+  RA.Uses.assign(static_cast<size_t>(N), 0);
+  RA.Defs.assign(RA.Uses.size(), 0);
+  RA.LiveOut.assign(RA.Uses.size(), 0);
+  for (int32_t Pc = 0; Pc < N; ++Pc) {
+    LowRawUseDef UD = lowRawUseDef(F, F.Code[Pc]);
+    RA.Uses[Pc] = RA.homeMask(UD.Reads);
+    RA.Defs[Pc] = RA.homeMask(UD.Writes);
+  }
+  std::vector<uint32_t> LiveIn(RA.Uses.size());
+  auto InAt = [&](int32_t Pc) {
+    return Pc >= 0 && Pc < N ? LiveIn[static_cast<size_t>(Pc)] : 0u;
+  };
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (int32_t Pc = N - 1; Pc >= 0; --Pc) {
+      const LowInstr &I = F.Code[Pc];
+      uint32_t Out = 0;
+      if (I.Op == LowOp::JumpLow)
+        Out = InAt(I.Imm);
+      else if (isBranchOp(I.Op))
+        Out = InAt(Pc + 1) | InAt(I.Imm);
+      else if (I.Op != LowOp::RetLow)
+        Out = InAt(Pc + 1);
+      uint32_t In = RA.Uses[Pc] | (Out & ~RA.Defs[Pc]);
+      if (Out != RA.LiveOut[Pc] || In != LiveIn[Pc]) {
+        RA.LiveOut[Pc] = Out;
+        LiveIn[Pc] = In;
+        Changed = true;
+      }
+    }
+  }
+  RA.EntryLive = InAt(0);
+}
+
 } // namespace
 
 IntConstMap rjit::intConstSlots(const LowFunction &F) {
@@ -303,7 +343,7 @@ RegAllocation rjit::allocateRegisters(const LowFunction &F,
 
   // Count only accesses the stitcher compiles inline: those are where a
   // register home saves a load/store. Helper-executed ops read and write
-  // the arrays directly (homes are flushed around them), so their slots
+  // the arrays directly (homes are synced around them), so their slots
   // gain nothing from a register.
   for (int32_t Pc = 0; Pc < N; ++Pc) {
     const LowInstr &I = F.Code[Pc];
@@ -465,5 +505,7 @@ RegAllocation rjit::allocateRegisters(const LowFunction &F,
       }
     }
   }
+  if (RA.any())
+    computeHomeLiveness(F, RA);
   return RA;
 }

@@ -80,6 +80,10 @@ struct VmStats {
   RelaxedCounter NativeRegSpills;     ///< raw-slot live ranges with uses
                                       ///< that were denied a register
                                       ///< home (pool exhausted)
+  RelaxedCounter NativeHomeSyncs;     ///< register-home stores and
+                                      ///< reloads emitted at helper call
+                                      ///< sites and side exits (compile
+                                      ///< time)
   RelaxedCounter CowCopies;           ///< element stores that found their
                                       ///< container shared and copied it
                                       ///< (copy-on-write); O(1) per loop

@@ -8,7 +8,11 @@
 //    parity with the interpreter backend across tier strategies, guard
 //    side exits feeding the unchanged deopt machinery (true deopt,
 //    deoptless dispatch, multi-frame OSR-out from inlined frames), and
-//    the injected-invalidation slow path through native guards.
+//    the injected-invalidation slow path through native guards;
+//  * register homes — the allocator's per-pc home liveness, the exact
+//    home-sync count around helper calls, live homes surviving helper
+//    calls and side exits, and the inline Box / boxed Move templates
+//    with their slow stubs.
 //
 // Native cases skip (not fail) on hosts without the backend; the seam
 // cases run everywhere.
@@ -18,6 +22,7 @@
 #include "dispatch/context.h"
 #include "dispatch/version.h"
 #include "native/native.h"
+#include "native/regalloc.h"
 #include "support/stats.h"
 #include "vm/vm.h"
 
@@ -345,11 +350,11 @@ TEST(NativeV2, GuardExitsBoxRegisterHomes) {
   // on a list element's type, so the hottest ints sit in callee-saved
   // homes (rbp/r15), the rest in caller-saved ones, and the reals in XMM
   // homes. The guard sits at the last statement, after the updates, so
-  // the homes have changed since the extract's helper call last flushed
+  // the homes have changed since the extract's helper call last synced
   // them; i2 and i3, read four times each, are the hottest. A failing
   // guard boxes them from the slot arrays: both side exits, the real
-  // failure (GuardFail) and the injected one (GuardTick), must flush
-  // every home first.
+  // failure (GuardFail) and the injected one (GuardTick), must store
+  // every home its boxes read first, callee-saved ones included.
   const char *Setup = R"(
     k <- function(l, n) {
       i1 <- 0L; i2 <- 1L; i3 <- 2L; i4 <- 3L
@@ -488,6 +493,379 @@ TEST(NativeV2, RetireWhileLinkedPatchesBackBeforeReclaim) {
     ASSERT_EQ(V.eval("h(50L)").asIntUnchecked(), 1325);
   EXPECT_GT(stats().NativeLinkedTransfers, AfterRepublish)
       << "the site must relink to the republished version";
+}
+
+//===----------------------------------------------------------------------===//
+// Live-home sync and inline boxing
+
+/// Options with register allocation on or off and the other v2 layers
+/// pinned, so a test's code shape does not depend on RJIT_NATIVE_V2.
+NativeTierOptions regallocOpts(bool Regalloc) {
+  NativeTierOptions O;
+  O.Regalloc = Regalloc;
+  O.Fusion = false;
+  O.Linking = false;
+  return O;
+}
+
+/// An ArithTyped / CmpBranch C field: (op << 2) | rank (1 = int, 2 = real).
+uint16_t typedOp(BinOp Op, int Rank) {
+  return static_cast<uint16_t>((static_cast<uint16_t>(Op) << 2) | Rank);
+}
+
+uint16_t cls(SlotClass K) { return static_cast<uint16_t>(K); }
+
+/// Hand-built LowCode for the liveness and sync-count tests. Params: boxed
+/// s0 (an Int), raw real d0, raw int i1. The loop [1, 5] computes d1 and
+/// d2; d2's only reader is the guard's deferred box, and d1 is read after
+/// the loop. pc 7 is unreachable (the jump at pc 6 skips it).
+///
+///   0: ldc  i0 <- 0
+///   1: d1 <- d0 + d0            (loop header)
+///   2: d2 <- d1 * d0
+///   3: guard s0 is Int          [box s1 <- d2]
+///   4: i0 <- i0 + i1
+///   5: cmpbr i0 < i1 -> 1       (back edge)
+///   6: jump -> 8
+///   7: box s1 <- d0
+///   8: box s2 <- d1
+///   9: ret s2
+std::unique_ptr<LowFunction> loopWithGuardBox() {
+  auto F = std::make_unique<LowFunction>();
+  F->NumSlots = 3;
+  F->NumSlotsD = 3;
+  F->NumSlotsI = 2;
+  F->NumParams = 3;
+  F->ParamClasses = {SlotClass::Boxed, SlotClass::RawReal, SlotClass::RawInt};
+  F->ParamSlots = {0, 0, 1};
+  F->Consts.push_back(Value::integer(0));
+  DeoptMeta M;
+  M.ExpectedTag = Tag::Int;
+  M.ValueSlot = 0;
+  M.HasValueSlot = true;
+  M.Boxes.push_back(
+      LowInstr{LowOp::Box, 1, 2, 0, cls(SlotClass::RawReal)});
+  F->Deopts.push_back(M);
+  F->Code = {
+      LowInstr{LowOp::LoadConst, 0, 0, cls(SlotClass::RawInt), 0, 0},
+      LowInstr{LowOp::ArithTyped, 1, 0, 0, typedOp(BinOp::Add, 2)},
+      LowInstr{LowOp::ArithTyped, 2, 1, 0, typedOp(BinOp::Mul, 2)},
+      LowInstr{LowOp::GuardCond, 0, 0, 0, 0, 0},
+      LowInstr{LowOp::ArithTyped, 0, 0, 1, typedOp(BinOp::Add, 1)},
+      LowInstr{LowOp::CmpBranch, 0, 0, 1,
+               static_cast<uint16_t>(typedOp(BinOp::Lt, 1) | 0x8000), 1},
+      LowInstr{LowOp::JumpLow, 0, 0, 0, 0, 8},
+      LowInstr{LowOp::Box, 1, 0, 0, cls(SlotClass::RawReal)},
+      LowInstr{LowOp::Box, 2, 1, 0, cls(SlotClass::RawReal)},
+      LowInstr{LowOp::RetLow, 0, 2},
+  };
+  F->GuardCount = 1;
+  return F;
+}
+
+TEST(RegAlloc, LiveOutMasksFollowControlFlowAndGuardBoxes) {
+  std::unique_ptr<LowFunction> F = loopWithGuardBox();
+  RegAllocation RA = allocateRegisters(*F);
+  auto D = [&](uint16_t Slot) {
+    return RA.homeBit({SlotClass::RawReal, Slot});
+  };
+  auto I = [&](uint16_t Slot) {
+    return RA.homeBit({SlotClass::RawInt, Slot});
+  };
+  for (uint16_t S = 0; S < 3; ++S)
+    ASSERT_NE(D(S), 0u) << "d" << S << " must be homed";
+  for (uint16_t S = 0; S < 2; ++S)
+    ASSERT_NE(I(S), 0u) << "i" << S << " must be homed";
+  ASSERT_EQ(RA.LiveOut.size(), F->Code.size());
+
+  uint32_t Loop = D(0) | D(1) | I(0) | I(1);
+  EXPECT_EQ(RA.EntryLive, D(0) | I(1)) << "only the read params";
+  EXPECT_EQ(RA.LiveOut[0], D(0) | I(0) | I(1));
+  EXPECT_EQ(RA.LiveOut[1], Loop);
+  EXPECT_EQ(RA.LiveOut[2], Loop | D(2))
+      << "the guard's deferred box is d2's only reader";
+  EXPECT_EQ(RA.LiveOut[3], Loop) << "d2 is dead once the guard passed";
+  EXPECT_EQ(RA.LiveOut[4], Loop);
+  EXPECT_EQ(RA.LiveOut[5], Loop)
+      << "back edge to the header joined with the exit path";
+  EXPECT_EQ(RA.LiveOut[6], D(1)) << "the jump skips pc 7's read of d0";
+  EXPECT_EQ(RA.LiveOut[7], D(1));
+  EXPECT_EQ(RA.LiveOut[8], 0u);
+  EXPECT_EQ(RA.LiveOut[9], 0u) << "nothing is live after a return";
+}
+
+TEST(NativeV2, HomeSyncCountIsExact) {
+  if (!nativeBackendSupported())
+    GTEST_SKIP() << "no native backend on this host";
+  // loopWithGuardBox's homes: d0-d2 in XMMs (caller-saved), i0 and i1 in
+  // rbp and r15 (callee-saved: the pool hands those out first). The helper sites
+  // and side exits sync:
+  //   guard fail stub:  store d2 (its box)                          1
+  //   guard tick stub:  store d2 + live d0, d1; reload d0, d1       5
+  //   pc 7 box slow:    store d0 (read) + live d1; reload d1        3
+  //   pc 8 box slow:    store d1 (read); nothing live after         1
+  // The prologue's entry loads are not helper syncs.
+  {
+    std::unique_ptr<LowFunction> F = loopWithGuardBox();
+    RegAllocation RA = allocateRegisters(*F);
+    ASSERT_EQ(RA.homeBit({SlotClass::RawInt, 0}), natGprBit(RBP));
+    ASSERT_EQ(RA.homeBit({SlotClass::RawInt, 1}), natGprBit(R15));
+  }
+  for (bool Regalloc : {true, false}) {
+    std::unique_ptr<ExecBackend> B =
+        makeNativeBackend(regallocOpts(Regalloc));
+    ASSERT_NE(B, nullptr);
+    resetStats();
+    std::unique_ptr<ExecutableCode> X = B->prepare(loopWithGuardBox());
+    EXPECT_EQ(stats().NativeHomeSyncs, Regalloc ? 10u : 0u)
+        << "regalloc " << Regalloc;
+    Value R = X->run({Value::integer(1), Value::real(1.5), Value::integer(3)},
+                     nullptr, nullptr);
+    EXPECT_EQ(R.show(), "3");
+  }
+}
+
+TEST(NativeInline, BoxOverHeapDestinationTakesTheSlowStub) {
+  if (!nativeBackendSupported())
+    GTEST_SKIP() << "no native backend on this host";
+  // s0 holds the vector argument on the first iteration, so the Box must
+  // release it through the handler; on the later iterations it holds the
+  // previous Int and the inline store runs. A missed release would leave
+  // the vector's reference count raised after the activation.
+  auto Make = [] {
+    auto F = std::make_unique<LowFunction>();
+    F->NumSlots = 1;
+    F->NumSlotsI = 3;
+    F->NumParams = 1;
+    F->ParamClasses = {SlotClass::Boxed};
+    F->ParamSlots = {0};
+    for (int K : {0, 1, 3})
+      F->Consts.push_back(Value::integer(K));
+    F->Code = {
+        LowInstr{LowOp::LoadConst, 0, 0, cls(SlotClass::RawInt), 0, 0},
+        LowInstr{LowOp::LoadConst, 1, 0, cls(SlotClass::RawInt), 0, 1},
+        LowInstr{LowOp::LoadConst, 2, 0, cls(SlotClass::RawInt), 0, 2},
+        LowInstr{LowOp::ArithTyped, 0, 0, 1, typedOp(BinOp::Add, 1)},
+        LowInstr{LowOp::Box, 0, 0, 0, cls(SlotClass::RawInt)},
+        LowInstr{LowOp::CmpBranch, 0, 0, 2,
+                 static_cast<uint16_t>(typedOp(BinOp::Lt, 1) | 0x8000), 3},
+        LowInstr{LowOp::RetLow, 0, 0},
+    };
+    return F;
+  };
+  Value Vec = Value::realVec({1.0, 2.0, 3.0});
+  const GcObject *Obj = Vec.object();
+  for (bool Regalloc : {true, false}) {
+    std::unique_ptr<ExecBackend> B = makeNativeBackend(regallocOpts(Regalloc));
+    std::unique_ptr<ExecutableCode> X = B->prepare(Make());
+    EXPECT_EQ(X->run({Vec}, nullptr, nullptr).show(), "3L");
+    EXPECT_EQ(Obj->refCount(), 1u) << "regalloc " << Regalloc;
+  }
+}
+
+TEST(NativeInline, StealNullsTheSourceAndSelfMoveIsANoOp) {
+  if (!nativeBackendSupported())
+    GTEST_SKIP() << "no native backend on this host";
+  // Params: s0 a Real scalar, s1 a vector. Every boxed-move shape, then
+  // the six slots are returned as a list:
+  //   s2 <- move(s0)   scalar steal               (inline)
+  //   s3 <- move(s1)   heap steal into Null       (inline)
+  //   s4 <- s2         scalar copy                (inline)
+  //   s4 <- s4         self copy                  (no-op)
+  //   s3 <- move(s3)   self steal                 (no-op)
+  //   s5 <- s3         heap copy: needs a retain  (slow stub)
+  auto Make = [] {
+    auto F = std::make_unique<LowFunction>();
+    F->NumSlots = 7;
+    F->NumParams = 2;
+    F->ParamClasses = {SlotClass::Boxed, SlotClass::Boxed};
+    F->ParamSlots = {0, 1};
+    uint16_t Boxed = cls(SlotClass::Boxed);
+    F->Code = {
+        LowInstr{LowOp::Move, 2, 0, Boxed, 1},
+        LowInstr{LowOp::Move, 3, 1, Boxed, 1},
+        LowInstr{LowOp::Move, 4, 2, Boxed, 0},
+        LowInstr{LowOp::Move, 4, 4, Boxed, 0},
+        LowInstr{LowOp::Move, 3, 3, Boxed, 1},
+        LowInstr{LowOp::Move, 5, 3, Boxed, 0},
+        LowInstr{LowOp::CallBiLow, 6, 0, 0,
+                 static_cast<uint16_t>(BuiltinId::ListCtor), 6},
+        LowInstr{LowOp::RetLow, 0, 6},
+    };
+    return F;
+  };
+  Value Vec = Value::realVec({1.0, 2.0});
+  const GcObject *Obj = Vec.object();
+  std::string Want =
+      interpBackend().prepare(Make())->run({Value::real(2.5), Vec}, nullptr,
+                                           nullptr)
+          .show();
+  EXPECT_EQ(Obj->refCount(), 1u);
+  for (bool Regalloc : {true, false}) {
+    std::unique_ptr<ExecBackend> B = makeNativeBackend(regallocOpts(Regalloc));
+    std::unique_ptr<ExecutableCode> X = B->prepare(Make());
+    Value R = X->run({Value::real(2.5), Vec}, nullptr, nullptr);
+    EXPECT_EQ(R.show(), Want) << "regalloc " << Regalloc;
+    const auto &L = R.listObj()->D;
+    ASSERT_EQ(L.size(), 6u);
+    EXPECT_TRUE(L[0].isNull()) << "a steal leaves its source Null";
+    EXPECT_TRUE(L[1].isNull());
+    EXPECT_EQ(L[4].asRealUnchecked(), 2.5);
+    EXPECT_EQ(L[3].object(), Obj);
+    EXPECT_EQ(L[5].object(), Obj);
+    EXPECT_EQ(Obj->refCount(), 3u) << "the test's copy plus two in the list";
+  }
+  EXPECT_EQ(Obj->refCount(), 1u);
+}
+
+TEST(NativeInline, BoxedVectorMovesKeepCopyOnWrite) {
+  if (!nativeBackendSupported())
+    GTEST_SKIP() << "no native backend on this host";
+  // v and u swap every iteration (boxed phi moves of vectors), then v is
+  // written element-wise. The callers' a and b stay shared, so every
+  // first store per call must copy: a move that skipped a retain would
+  // let the store mutate a or b in place, and the copy counts of the two
+  // backends would differ.
+  const char *Setup = R"(
+    f <- function(v, u, n) {
+      for (i in 1:n) {
+        t <- v; v <- u; u <- t
+        v[[i]] <- v[[i]] + 0.5
+      }
+      c(v[[1L]], u[[1L]], v[[n]], u[[n]])
+    }
+    a <- as.numeric(1:8)
+    b <- as.numeric(11:18)
+  )";
+  const char *Driver = "c(f(a, b, 8L), a[[1L]], b[[8L]])";
+  std::string Want;
+  uint64_t WantCow = 0;
+  for (bool Native : {false, true}) {
+    Vm::Config C = v2cfg(TierStrategy::Deoptless);
+    C.NativeTier = Native;
+    std::string Got = runUnder(C, Setup, Driver, 8);
+    if (!Native) {
+      Want = Got;
+      WantCow = stats().CowCopies;
+      continue;
+    }
+    EXPECT_EQ(Got, Want);
+    EXPECT_GT(stats().NativeEnters, 0u);
+    EXPECT_EQ(stats().CowCopies, WantCow)
+        << "copy-on-write copies must match the LowCode backend";
+  }
+  EXPECT_GT(WantCow, 0u);
+}
+
+TEST(NativeV2, LiveHomesSurviveHelperCalls) {
+  if (!nativeBackendSupported())
+    GTEST_SKIP() << "no native backend on this host";
+  // Ten raw reals and four raw ints stay live across in-loop helper
+  // calls: a builtin (max), generic list extracts, and boxed moves of
+  // vectors (the t/w/v swap). q is computed before the loop and only the
+  // in-loop guards' frame states read it. sv[[1L]] * 2.0 is a fused
+  // extract+arith pair; contextual dispatch runs the version specialized
+  // for a vector sv on a length-one scalar, so its extract takes the
+  // slow stub. The in-loop type guard on e fails for real on lr (its
+  // 23rd element is a double) and by injection under InvalidationRate.
+  const char *Setup = R"(
+    k <- function(l, v, sv, n) {
+      a1 <- 0.5; a2 <- 1.5; a3 <- 2.5; a4 <- 3.5; a5 <- 4.5
+      a6 <- 5.5; a7 <- 6.5; a8 <- 7.5; a9 <- 8.5; a10 <- 9.5
+      j1 <- 1L; j2 <- 2L; j3 <- 3L; j4 <- 4L
+      s <- 0
+      q <- a9 * 0.5
+      w <- rev(v)
+      for (i in 1:n) {
+        e <- l[[i]]
+        t <- w; w <- v; v <- t
+        m <- max(i, 3L)
+        a1 <- a1 + 0.25; a2 <- a2 + a1; a3 <- a3 * 0.5 + a2
+        a4 <- a4 + a3; a5 <- a5 - a4 * 0.125; a6 <- a6 + a5
+        a7 <- a7 * 0.75 + a6; a8 <- a8 + a7; a9 <- a9 - a8 * 0.0625
+        a10 <- a10 * 0.5 + a9
+        j1 <- j1 + e; j2 <- j2 + j1; j3 <- j3 + m; j4 <- j4 + j3
+        s <- s + sv[[1L]] * 2.0
+      }
+      c(a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, j1, j2, j3, j4, s,
+        w[[1L]], v[[1L]])
+    }
+    li <- vector("list", 40L)
+    for (p in 1:40) li[[p]] <- p %% 5L
+    lr <- li
+    lr[[23L]] <- 2.5
+    vv <- as.numeric(1:8)
+  )";
+  const char *Warm = "k(li, vv, vv, 40L)";
+  const char *Scalar = "k(li, vv, 2.5, 40L)";
+  const char *Fail = "k(lr, vv, 2.5, 40L)";
+  auto Base = [&](const char *Driver) {
+    return runUnder(cfg(TierStrategy::BaselineOnly, false), Setup, Driver,
+                    1);
+  };
+  std::string BaseWarm = Base(Warm), BaseScalar = Base(Scalar),
+              BaseFail = Base(Fail);
+  std::string BaseErr;
+  {
+    Vm V(cfg(TierStrategy::BaselineOnly, false));
+    V.eval(Setup);
+    try {
+      V.eval("k(li, vv, vv, 41L)");
+    } catch (const RError &E) {
+      BaseErr = E.what();
+    }
+    ASSERT_FALSE(BaseErr.empty()) << "l[[41]] must raise";
+  }
+
+  for (TierStrategy S : {TierStrategy::Normal, TierStrategy::Deoptless})
+    for (bool Regalloc : {true, false}) {
+      Vm::Config C = v2cfg(S);
+      C.ContextDispatch = true;
+      C.NativeV2.Regalloc = Regalloc;
+      std::string Label = std::string(S == TierStrategy::Normal
+                                          ? "normal"
+                                          : "deoptless") +
+                          (Regalloc ? "/regalloc" : "/no-regalloc");
+      // A real type-change failure, after the scalar calls.
+      {
+        Vm V(C);
+        V.eval(Setup);
+        for (int K = 0; K < 5; ++K)
+          EXPECT_EQ(V.eval(Warm).show(), BaseWarm) << Label;
+        ASSERT_GT(stats().NativeEnters, 0u) << Label;
+        for (int K = 0; K < 2; ++K)
+          EXPECT_EQ(V.eval(Scalar).show(), BaseScalar) << Label;
+        ASSERT_EQ(stats().AssumeFailures, 0u) << Label;
+        EXPECT_EQ(V.eval(Fail).show(), BaseFail) << Label;
+        EXPECT_GT(stats().AssumeFailures, 0u) << Label;
+        EXPECT_EQ(V.eval(Warm).show(), BaseWarm) << Label;
+        // A helper raising mid-loop: the same error as the baseline.
+        std::string Err;
+        try {
+          V.eval("k(li, vv, vv, 41L)");
+        } catch (const RError &E) {
+          Err = E.what();
+        }
+        EXPECT_EQ(Err, BaseErr) << Label;
+        EXPECT_EQ(V.eval(Warm).show(), BaseWarm) << Label;
+      }
+      // Injected failures through the guard-tick stub.
+      {
+        Vm::Config CI = C;
+        CI.InvalidationRate = 7;
+        CI.InvalidationSeed = 5;
+        Vm V(CI);
+        V.eval(Setup);
+        for (int K = 0; K < 16; ++K) {
+          EXPECT_EQ(V.eval(Warm).show(), BaseWarm) << Label << " call " << K;
+          if (K >= 4)
+            EXPECT_EQ(V.eval(Scalar).show(), BaseScalar)
+                << Label << " call " << K;
+        }
+        EXPECT_GT(stats().NativeEnters, 0u) << Label;
+        EXPECT_GT(stats().InjectedFailures, 0u) << Label;
+      }
+    }
 }
 
 TEST(NativeJit, BackgroundCompilePublishesNativeCode) {
