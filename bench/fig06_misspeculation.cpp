@@ -3,9 +3,10 @@
 // Part of the deoptless reproduction. MIT license.
 //
 // Reproduces Fig. 6 (§5.1): run the Ř main benchmark suite with randomly
-// invalidated assumptions (default 1 in 10k guard checks, the paper's
-// rate) and measure the speedup of deoptless over normal deoptimization,
-// per in-process iteration. Also reproduces the §5.1 memory experiment
+// invalidated assumptions (default --rate 2000: 1 in 2000 dynamic guard
+// checks; the paper's rate is 1 in 10k) and measure the speedup of
+// deoptless over normal deoptimization, per in-process iteration. Also
+// reproduces the §5.1 memory experiment
 // (--memory): change in the live-heap high-water mark (our stand-in for
 // max RSS).
 //

@@ -55,9 +55,7 @@ void warm(Vm &V, int N = 6) {
 }
 
 void BM_BaselineInterpreter(benchmark::State &State) {
-  Vm::Config C = benchConfig(TierStrategy::BaselineOnly);
-  C.OsrIn = false;
-  Vm V(C);
+  Vm V(benchConfig(TierStrategy::BaselineOnly));
   V.eval(sumSetup());
   V.eval("data <- as.numeric(1:" + std::to_string(SumN) + ")");
   for (auto _ : State)

@@ -21,6 +21,7 @@
 #include "runtime/value.h"
 #include "support/interner.h"
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -98,6 +99,12 @@ public:
   /// Owned by the VM layer (vm::TierState); null until the VM sees the
   /// function.
   void *TierState = nullptr;
+
+  /// Set for a top-level function (one the module's top-level code
+  /// creates, so every closure of it captures the global environment):
+  /// that environment's builtin-rebind epoch (Env::builtinEpoch). Null
+  /// for every other function.
+  const std::atomic<uint32_t> *GlobalEpoch = nullptr;
 };
 
 /// A compilation unit: all functions of a program; Top is the entry.

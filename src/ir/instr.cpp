@@ -82,6 +82,8 @@ const char *rjit::irOpName(IrOp Op) {
     return "isfun";
   case IrOp::IsBuiltinIr:
     return "isbuiltin";
+  case IrOp::BuiltinsIntactIr:
+    return "builtins_intact";
   case IrOp::FrameStateIr:
     return "framestate";
   case IrOp::CheckpointIr:

@@ -34,6 +34,7 @@
 #include "ir/type.h"
 #include "runtime/builtins.h"
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -91,6 +92,8 @@ enum class IrOp : uint8_t {
   IsTagIr,     ///< TagArg; Ops = [v]; also true for scalar of a vector tag
   IsFunIr,     ///< Target; Ops = [v]; closure identity test
   IsBuiltinIr, ///< Bid; Ops = [v]
+  BuiltinsIntactIr, ///< Epoch; no operands: the global env's builtin
+                    ///< bindings were never rebound (epoch == 0)
   // Speculation machinery.
   FrameStateIr, ///< BcPc, StackCount, EnvSyms; Ops = [stack..., env...]
   CheckpointIr, ///< Ops = [framestate]
@@ -122,6 +125,9 @@ public:
   Tag Knd = Tag::Real;            ///< typed ops: scalar element kind
   Tag TagArg = Tag::Real;         ///< IsTagIr / Assume expectation
   BuiltinId Bid{};                ///< builtin ops
+  /// BuiltinsIntactIr: the builtin-rebind epoch of the global environment
+  /// whose builtin bindings the guard relies on (Env::builtinEpoch).
+  const std::atomic<uint32_t> *Epoch = nullptr;
   Function *Target = nullptr;     ///< CallStatic / IsFunIr; FrameState:
                                   ///< the frame's function (null = Origin)
   int32_t Idx = 0;                ///< Param index / MkClosure inner index

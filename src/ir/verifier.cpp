@@ -21,6 +21,7 @@ size_t expectedArity(const Instr &I) {
   case IrOp::Undef:
   case IrOp::LdVarEnv:
   case IrOp::MkClosureIr:
+  case IrOp::BuiltinsIntactIr:
   case IrOp::Jump:
     return 0;
   case IrOp::CoerceNum:

@@ -59,33 +59,23 @@ Value coerceValue(const Value &V, Tag Target) {
   }
 }
 
-void superAssignFrom(Env *Start, Symbol Sym, Value V) {
-  for (Env *E = Start; E; E = E->parent()) {
-    if (Value *Slot = E->findLocal(Sym)) {
-      *Slot = std::move(V);
-      return;
-    }
-  }
-  Env *Outer = Start;
-  while (Outer && Outer->parent())
-    Outer = Outer->parent();
-  if (!Outer)
-    rerror("superassignment without an environment");
-  Outer->set(Sym, std::move(V));
-}
-
 /// COW + grow-on-assign element store into a typed vector container.
 template <typename ObjT, typename ElemT>
 Value setTypedElem(Value Obj, Tag VecTag, int64_t Idx, ElemT Elem) {
   if (Idx < 1)
     rerror("invalid subscript in assignment");
+  size_t N = static_cast<ObjT *>(Obj.object())->D.size();
+  bool Grow = static_cast<size_t>(Idx) > N;
+  // The same bound, and message, as the generic assign2.
+  if (Grow && static_cast<size_t>(Idx) > N + 1024 * 1024)
+    rerror("assignment index too far past the end");
   if (!Obj.unshared()) {
     ++stats().CowCopies;
     Obj = Value::adopt(VecTag,
                        new ObjT(static_cast<ObjT *>(Obj.object())->D));
   }
   ObjT *O = static_cast<ObjT *>(Obj.object());
-  if (static_cast<size_t>(Idx) > O->D.size()) {
+  if (Grow) {
     O->D.resize(Idx, ElemT{});
     O->retrack();
   }
@@ -273,8 +263,10 @@ inline void stEnvSuperOp(const LowInstr &I, Value *S, Env *CurEnv,
                          Env *ParentEnv) {
   if (CurEnv)
     CurEnv->setSuper(static_cast<Symbol>(I.Imm), S[I.A]);
+  else if (ParentEnv)
+    ParentEnv->assignNearest(static_cast<Symbol>(I.Imm), S[I.A]);
   else
-    superAssignFrom(ParentEnv, static_cast<Symbol>(I.Imm), S[I.A]);
+    rerror("superassignment without an environment");
 }
 
 inline void callValOp(const LowInstr &I, Value *S) {
@@ -637,11 +629,12 @@ Value rjit::runLow(const LowFunction &F, std::vector<Value> &&Args,
       bool Ok = lowGuardHolds(I, M, S.data());
       ++stats().AssumeChecks;
       bool Injected = false;
-      // Builtin-stability guards (C == 2) model what Ř implements as a
-      // watchpoint-invalidated global assumption, not a per-execution
-      // check; the random-invalidation test mode therefore only targets
-      // the genuinely dynamic guards (see EXPERIMENTS.md).
-      if (Ok && I.C != 2 && H.InvalidationCountdown &&
+      // Builtin guards (GuardBuiltin, GuardEpoch) check a global
+      // assumption that Ř implements as a watchpoint: a rebind is a real
+      // change that must truly deoptimize (deoptlessCondition). The
+      // random-invalidation test mode therefore only targets the
+      // genuinely dynamic guards.
+      if (Ok && lowGuardInjectable(I) && H.InvalidationCountdown &&
           --H.InvalidationCountdown == 0) {
         H.rearmInvalidation();
         Ok = false;
@@ -706,14 +699,16 @@ Value rjit::runLow(const LowFunction &F, std::vector<Value> &&Args,
 bool rjit::lowGuardHolds(const LowInstr &I, const DeoptMeta &M,
                          const Value *S) {
   switch (I.C) {
-  case 0:
+  case GuardTag:
     return S[I.A].tag() == M.ExpectedTag;
-  case 1:
+  case GuardClosure:
     return S[I.A].tag() == Tag::Clos &&
            S[I.A].closObj()->Fn == M.ExpectedFun;
-  case 2:
+  case GuardBuiltin:
     return S[I.A].tag() == Tag::Builtin &&
            S[I.A].builtinId() == M.ExpectedBuiltin;
+  case GuardEpoch:
+    return M.Epoch->load() == 0;
   default:
     return S[I.A].tag() == Tag::Lgl && S[I.A].asLglUnchecked();
   }

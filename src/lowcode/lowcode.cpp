@@ -119,11 +119,12 @@ bool rjit::lowReadsBoxed(const LowInstr &I, uint16_t Slot) {
   case LowOp::AsCondLow:
   case LowOp::LengthLow:
   case LowOp::Extract2Typed:
-  case LowOp::GuardCond:
   case LowOp::BranchFalseLow:
   case LowOp::BranchTrueLow:
   case LowOp::RetLow:
     return I.A == Slot;
+  case LowOp::GuardCond:
+    return I.C != GuardEpoch && I.A == Slot;
   case LowOp::LoadConst:
   case LowOp::Box:
   case LowOp::LdEnv:

@@ -52,20 +52,22 @@ enum class LowOp : uint8_t {
   CallValLow,  ///< Dst <- call A with args in slots [B, B+Imm)
   CallBiLow,   ///< Dst <- builtin C with args in slots [B, B+Imm)
   CallStaticLow, ///< Dst <- call closure in A (guarded identity), args [B, B+Imm)
-  ArithTyped,  ///< Dst <- A op B; C packs (BinOp << 4 | kind rank)
+  ArithTyped,  ///< Dst <- A op B; C packs (BinOp << 2 | kind rank)
   BinGenLow,   ///< Dst <- generic binary; C = BinOp
   NegLow,      ///< Dst <- -A (generic)
   NotLow,      ///< Dst <- !A (generic)
   AsCondLow,   ///< Dst <- scalar logical of A
   Extract2Low, ///< Dst <- A[[B]] (generic)
   Extract1Low, ///< Dst <- A[B] (generic)
-  Extract2Typed, ///< Dst <- raw element A[[B]]; C = vector kind rank
-  SetElem2Low,   ///< Dst <- A with [[B]] <- slot C2 (generic; Imm = val slot)
-  SetElem2Typed, ///< same, typed; C = kind rank, Imm = val slot
+  Extract2Typed, ///< Dst <- raw element A[[B]]; C = element Tag
+  SetElem2Low,   ///< Dst <- A with [[B]] <- S[Imm] (generic); C bit
+                 ///< 0x100 = steal A (its last use)
+  SetElem2Typed, ///< same, typed: index raw int B, value Imm in the
+                 ///< element kind's home; C = element Tag | 0x100 steal
   SetIdx2EnvLow, ///< env var sym(Imm2): [[A]] <- B; Dst <- B
   SetIdx1EnvLow,
   LengthLow,   ///< Dst <- length(A) as Int
-  GuardCond,   ///< deopt via Deopts[Imm] when slot A is FALSE
+  GuardCond,   ///< deopt via Deopts[Imm] unless the GuardKind C holds
   JumpLow,     ///< pc <- Imm
   BranchFalseLow, ///< pc <- Imm when slot A is falsy
   BranchTrueLow,  ///< pc <- Imm when slot A is truthy
@@ -75,6 +77,15 @@ enum class LowOp : uint8_t {
 };
 
 const char *lowOpName(LowOp Op);
+
+/// What a GuardCond (its C field) tests.
+enum GuardKind : uint16_t {
+  GuardTag = 0,     ///< S[A] has tag DeoptMeta::ExpectedTag
+  GuardClosure = 1, ///< S[A] is a closure of DeoptMeta::ExpectedFun
+  GuardBuiltin = 2, ///< S[A] is DeoptMeta::ExpectedBuiltin
+  GuardTruth = 3,   ///< S[A] is scalar TRUE
+  GuardEpoch = 4,   ///< *DeoptMeta::Epoch == 0; reads no slot
+};
 
 /// One LowCode instruction. C carries small payloads (packed op/kind,
 /// builtin id, tag); Imm carries jump targets / counts / meta indices;
@@ -150,6 +161,8 @@ struct DeoptMeta {
   int32_t FailedFeedbackSlot = -1;
   uint16_t ValueSlot = 0;      ///< slot of the guarded value (actual value)
   bool HasValueSlot = false;
+  /// GuardEpoch: the global environment's builtin-rebind epoch.
+  const std::atomic<uint32_t> *Epoch = nullptr;
   /// Box ops that fill the boxed temps standing in for raw-homed values of
   /// this frame-state chain. They run only when the guard fails
   /// (materializeDeoptState), never on the passing path.

@@ -147,6 +147,7 @@ private:
     case IrOp::FrameStateIr:
     case IrOp::CheckpointIr:
     case IrOp::AssumeIr:
+    case IrOp::BuiltinsIntactIr:
     case IrOp::StVarEnv:
     case IrOp::StVarSuperEnv:
     case IrOp::Jump:
@@ -699,6 +700,7 @@ private:
     case IrOp::IsTagIr:
     case IrOp::IsFunIr:
     case IrOp::IsBuiltinIr:
+    case IrOp::BuiltinsIntactIr:
       return; // evaluated by the guard
 
     case IrOp::AssumeIr: {
@@ -707,10 +709,11 @@ private:
       LowInstr L{LowOp::GuardCond};
       L.Imm = MetaIdx;
       L.A = F->Deopts[MetaIdx].ValueSlot;
-      L.C = static_cast<uint16_t>(Cond->Op == IrOp::IsTagIr    ? 0
-                                  : Cond->Op == IrOp::IsFunIr  ? 1
-                                  : Cond->Op == IrOp::IsBuiltinIr ? 2
-                                                                  : 3);
+      L.C = Cond->Op == IrOp::IsTagIr            ? GuardTag
+            : Cond->Op == IrOp::IsFunIr          ? GuardClosure
+            : Cond->Op == IrOp::IsBuiltinIr      ? GuardBuiltin
+            : Cond->Op == IrOp::BuiltinsIntactIr ? GuardEpoch
+                                                 : GuardTruth;
       emit(L);
       ++F->GuardCount;
       return;
@@ -791,6 +794,8 @@ private:
       }
       M.ValueSlot = ensureBoxed(Cond->op(0));
       M.HasValueSlot = true;
+    } else if (Cond->Op == IrOp::BuiltinsIntactIr) {
+      M.Epoch = Cond->Epoch;
     } else {
       M.ValueSlot = ensureBoxed(Cond);
       M.HasValueSlot = false;

@@ -45,6 +45,12 @@ bool stepCmpBranchTaken(const LowInstr &I, const Value *S, const double *D,
 /// case and the native backend's slow-path re-check.
 bool lowGuardHolds(const LowInstr &I, const DeoptMeta &M, const Value *S);
 
+/// True for the guards the random-invalidation test mode may fail: every
+/// kind but the builtin ones, whose facts are global assumptions.
+inline bool lowGuardInjectable(const LowInstr &I) {
+  return I.C != GuardBuiltin && I.C != GuardEpoch;
+}
+
 /// Runs \p M's deferred frame-state Box ops, filling the boxed temps its
 /// slot maps name from the raw slots. Called by both backends when the
 /// guard fails, right before the deopt hook; the raw arrays must be

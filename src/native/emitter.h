@@ -53,6 +53,7 @@ enum Cc : uint8_t {
   CcBe = 0x6, ///< below-equal (CF=1 or ZF=1)
   CcA = 0x7,  ///< above (CF=0 and ZF=0)
   CcS = 0x8,  ///< sign
+  CcNs = 0x9, ///< not sign
   CcP = 0xA,  ///< parity (unordered after ucomisd)
   CcNp = 0xB,
   CcL = 0xC,
@@ -178,6 +179,14 @@ public:
     memIndex(Dst, Base, Index, ScaleLog);
   }
 
+  /// mov [base + index*2^scale], src32 (no displacement)
+  void movMemIndexReg32(uint8_t Base, uint8_t Index, uint8_t ScaleLog,
+                        uint8_t Src) {
+    rexIdx(0, Src, Index, Base);
+    u8(0x89);
+    memIndex(Src, Base, Index, ScaleLog);
+  }
+
   /// movsxd dst64, src32 (register form — the index path when the index
   /// slot is register-homed).
   void movsxdRegReg32(uint8_t Dst, uint8_t Src) {
@@ -200,6 +209,24 @@ public:
     rexOpt(0, Dst, Src);
     u8(0x2B);
     modrmReg(Dst, Src);
+  }
+  void xorRegReg32(uint8_t Dst, uint8_t Src) {
+    rexOpt(0, Dst, Src);
+    u8(0x33);
+    modrmReg(Dst, Src);
+  }
+  void testRegReg32(uint8_t A, uint8_t B) {
+    rexOpt(0, B, A);
+    u8(0x85);
+    modrmReg(B, A);
+  }
+  /// cdq: sign-extends eax into edx (the idiv dividend edx:eax).
+  void cdq() { u8(0x99); }
+  /// idiv r32: eax = edx:eax / r, edx = remainder (truncating).
+  void idivReg32(uint8_t R) {
+    rexOpt(0, 0, R);
+    u8(0xF7);
+    modrmReg(7, R); // /7 = idiv
   }
   void cmpRegReg32(uint8_t A, uint8_t B) { // flags of A - B
     rexOpt(0, A, B);
@@ -371,6 +398,17 @@ public:
       u8(0x40 | ((X >> 3) << 2) | ((Index >> 3) << 1) | (Base >> 3));
     u8(0x0F);
     u8(0x10);
+    memIndex(X, Base, Index, ScaleLog);
+  }
+
+  /// movsd [base + index*2^scale], xmm
+  void movsdMemIndexXmm(uint8_t Base, uint8_t Index, uint8_t ScaleLog,
+                        uint8_t X) {
+    u8(0xF2);
+    if (X >= 8 || Base >= 8 || Index >= 8)
+      u8(0x40 | ((X >> 3) << 2) | ((Index >> 3) << 1) | (Base >> 3));
+    u8(0x0F);
+    u8(0x11);
     memIndex(X, Base, Index, ScaleLog);
   }
 

@@ -39,9 +39,9 @@
 //    can reclaim the target block.
 //
 // Register plan: rbx = NativeFrame*, r12 = boxed slots (Value*), r13 = raw
-// double slots, r14 = raw int32 slots; rax/rcx/rdx/rsi/rdi/xmm0/xmm1 are
-// template scratch. Regalloc homes live in rbp/r15 (callee-saved) and
-// r8-r11/xmm2-xmm15 (caller-saved).
+// double slots, r14 = raw int32 slots; rax/rdx/rsi/xmm0/xmm1 are template
+// scratch, and rdi carries helper arguments. Regalloc homes live in
+// rbp/r15 (callee-saved) and r8-r11/rcx/rdi/xmm2-xmm15 (caller-saved).
 //
 // Exceptions never unwind through JIT frames (there is no unwind info for
 // them): every helper catches at the boundary, parks the exception in the
@@ -171,6 +171,34 @@ template <typename T> const VecInternals &vecInternals() {
     return R;
   }();
   return L;
+}
+
+/// Offset of GcObject's reference count, probed at run time like the
+/// vector layout: GcObject is polymorphic, so offsetof on it would only be
+/// conditionally supported. The typed-store template reads the count to
+/// prove a container unshared. -1 when the probe fails; the store then
+/// always takes its helper.
+int32_t refCountOffset() {
+  static const int32_t Off = [] {
+    Value V = Value::intVec({0});
+    const GcObject *O = V.heapPayload();
+    auto Word = [O](size_t At) {
+      uint32_t W;
+      std::memcpy(&W, reinterpret_cast<const char *>(O) + At, 4);
+      return W;
+    };
+    for (size_t At = 0; At + 4 <= sizeof(IntVecObj); At += 4) {
+      if (Word(At) != O->refCount())
+        continue;
+      O->retain(); // only the count itself follows a retain
+      bool Tracks = Word(At) == O->refCount();
+      O->release();
+      if (Tracks)
+        return static_cast<int32_t>(At);
+    }
+    return int32_t{-1};
+  }();
+  return Off;
 }
 
 } // namespace
@@ -371,8 +399,9 @@ static int64_t rjit_nat_guard_tick(NativeFrame *Fr, int32_t Pc) {
 
 namespace {
 
-/// True for the arithmetic operators the real/int templates inline (the
-/// rest — compares that box, %%, %/%, ^, complex — take the handler).
+/// True for the arithmetic operators the real/int templates inline
+/// without a slow path (integer %% and %/% have their own template; the
+/// rest — compares that box, ^, complex — take the handler).
 bool inlineableRealArith(BinOp Op) {
   return Op == BinOp::Add || Op == BinOp::Sub || Op == BinOp::Mul ||
          Op == BinOp::Div;
@@ -1218,13 +1247,18 @@ private:
           intArithToScratch(Op, I.A, I.B);
           intStore(I.Dst, RAX);
         }
+      } else if (Rank == 1 && (Op == BinOp::Mod || Op == BinOp::IDiv)) {
+        emitIntDivMod(Pc, I, Op);
       } else {
-        // Compares box their result; %%, %/%, ^ and complex arithmetic
-        // have error paths / libm calls — all through the handler.
+        // Compares box their result; real %%, %/%, ^ and complex
+        // arithmetic call libm — all through the handler.
         emitStep(Pc);
       }
       return;
     }
+    case LowOp::SetElem2Typed:
+      emitSetElem2Typed(Pc, I);
+      return;
     case LowOp::Extract2Typed:
       if (!emitExtract2Typed(Pc, I, /*KeepScratch=*/false))
         emitStep(Pc);
@@ -1330,6 +1364,121 @@ private:
       A.movMemReg64(R12, sOff(I.Dst, Off), RAX);
     }
     if (I.C) {
+      A.movMem8Imm8(R12, sOff(I.A, ValueLayout::Tag),
+                    static_cast<uint8_t>(Tag::Null));
+      A.movRegImm32(RAX, 0);
+      A.movMemReg64(R12, sOff(I.A, ValueLayout::Payload), RAX);
+    }
+    Slow.Resume = A.size();
+    Stubs.push_back(std::move(Slow));
+  }
+
+  /// Integer %% and %/% (R's floored forms): `cdq; idiv` plus the
+  /// handler's floor fix-up. A divisor of 0 (an error) or -1 (where idiv
+  /// of INT_MIN traps) takes the StepSlow stub; a divisor the allocator
+  /// knows to be constant decides that at compile time.
+  void emitIntDivMod(int32_t Pc, const LowInstr &I, BinOp Op) {
+    bool KnownB = RA.intHome(I.B) < 0 && IC.known(I.B);
+    if (KnownB && (IC.val(I.B) == 0 || IC.val(I.B) == -1)) {
+      emitStep(Pc);
+      return;
+    }
+    Stub Slow = newStub(Pc, Stub::StepSlow);
+    // The divisor stays in its home (or rsi): rax/rdx belong to idiv.
+    uint8_t Br = intSrc(I.B, RSI);
+    if (!KnownB) {
+      A.cmpRegImm32(Br, 0);
+      Slow.Sites.push_back(A.jcc32(CcE));
+      A.cmpRegImm32(Br, static_cast<uint32_t>(-1));
+      Slow.Sites.push_back(A.jcc32(CcE));
+    }
+    uint8_t Ar = intSrc(I.A, RAX);
+    if (Ar != RAX)
+      A.movRegReg32(RAX, Ar);
+    A.cdq();
+    A.idivReg32(Br); // eax = truncated quotient, edx = remainder
+    // Floor: a nonzero remainder whose sign differs from the divisor's
+    // moves %% up by the divisor and %/% down by one.
+    A.testRegReg32(RDX, RDX);
+    size_t Exact = A.jcc32(CcE);
+    if (Op == BinOp::Mod) {
+      A.movRegReg32(RAX, RDX);
+      A.xorRegReg32(RAX, Br);
+      size_t SameSign = A.jcc32(CcNs);
+      A.addRegReg32(RDX, Br);
+      A.patchRel32(SameSign, A.size());
+      A.patchRel32(Exact, A.size());
+      intStore(I.Dst, RDX);
+    } else {
+      A.xorRegReg32(RDX, Br);
+      size_t SameSign = A.jcc32(CcNs);
+      A.subRegImm32(RAX, 1);
+      A.patchRel32(SameSign, A.size());
+      A.patchRel32(Exact, A.size());
+      intStore(I.Dst, RAX);
+    }
+    Slow.Resume = A.size();
+    Stubs.push_back(std::move(Slow));
+  }
+
+  /// Typed element store, stealing, int/real kind: the fast path stores
+  /// the raw element in place when the container is an unshared vector of
+  /// the element kind and 1 <= idx <= length, then moves the container
+  /// Value to Dst like a stealing boxed Move (a destination holding a
+  /// heap payload goes slow: overwriting it would need a release). Every
+  /// check precedes the first write, so the StepSlow stub re-runs the
+  /// whole op: copy-on-write, growth, the widened length-one scalar and
+  /// the subscript errors all stay in the handler.
+  void emitSetElem2Typed(int32_t Pc, const LowInstr &I) {
+    Tag K = static_cast<Tag>(I.C & 0xFF);
+    bool Steal = I.C & 0x100;
+    const VecInternals &VI = K == Tag::Real ? vecInternals<double>()
+                                            : vecInternals<int32_t>();
+    int32_t RcOff = refCountOffset();
+    if ((K != Tag::Real && K != Tag::Int) || !Steal || !VI.Valid ||
+        RcOff < 0) {
+      emitStep(Pc); // a copied container always copies: no fast path
+      return;
+    }
+    int32_t DMember =
+        K == Tag::Real
+            ? static_cast<int32_t>(offsetof(RealVecObj, D))
+            : static_cast<int32_t>(offsetof(IntVecObj, D));
+    Tag VecTag = K == Tag::Real ? Tag::RealVec : Tag::IntVec;
+    uint8_t ScaleLog = K == Tag::Real ? 3 : 2;
+
+    Stub Slow = newStub(Pc, Stub::StepSlow);
+    if (I.Dst != I.A)
+      slowIfHeap(Slow, I.Dst);
+    A.cmpMem8Imm8(R12, sOff(I.A, ValueLayout::Tag),
+                  static_cast<uint8_t>(VecTag));
+    Slow.Sites.push_back(A.jcc32(CcNe));
+    // rax: object pointer, then (its last use spent) the data pointer.
+    A.movRegMem64(RAX, R12, sOff(I.A, ValueLayout::Payload));
+    A.cmpMem32Imm32(RAX, RcOff, 1);
+    Slow.Sites.push_back(A.jcc32(CcNe)); // shared: copy-on-write
+    A.movRegMem64(RDX, RAX, DMember + VI.EndOff);
+    A.movRegMem64(RAX, RAX, DMember + VI.BeginOff);
+    A.subRegReg64(RDX, RAX);
+    A.shrRegImm8(RDX, ScaleLog); // element count
+    int16_t BH = RA.intHome(I.B);
+    if (BH >= 0)
+      A.movsxdRegReg32(RSI, static_cast<uint8_t>(BH));
+    else
+      A.movsxdRegMem32(RSI, R14, iOff(I.B));
+    A.subRegImm8(RSI, 1); // 1-based -> 0-based
+    A.cmpRegReg64(RSI, RDX);
+    Slow.Sites.push_back(A.jcc32(CcAe)); // unsigned: idx < 1 or growth
+    uint16_t V = static_cast<uint16_t>(I.Imm);
+    if (K == Tag::Real)
+      A.movsdMemIndexXmm(RAX, RSI, ScaleLog, realSrc(V, 0));
+    else
+      A.movMemIndexReg32(RAX, RSI, ScaleLog, intSrc(V, RDX));
+    if (I.Dst != I.A) {
+      for (int32_t Off = 0; Off < ValueStride; Off += 8) {
+        A.movRegMem64(RAX, R12, sOff(I.A, Off));
+        A.movMemReg64(R12, sOff(I.Dst, Off), RAX);
+      }
       A.movMem8Imm8(R12, sOff(I.A, ValueLayout::Tag),
                     static_cast<uint8_t>(Tag::Null));
       A.movRegImm32(RAX, 0);
@@ -1531,12 +1680,12 @@ private:
 
     Stub Fail = newStub(Pc, Stub::GuardFail);
     switch (I.C) {
-    case 0: // tag speculation
+    case GuardTag:
       A.cmpMem8Imm8(R12, sOff(I.A, ValueLayout::Tag),
                     static_cast<uint8_t>(M.ExpectedTag));
       Fail.Sites.push_back(A.jcc32(CcNe));
       break;
-    case 1: // closure identity
+    case GuardClosure:
       A.cmpMem8Imm8(R12, sOff(I.A, ValueLayout::Tag),
                     static_cast<uint8_t>(Tag::Clos));
       Fail.Sites.push_back(A.jcc32(CcNe));
@@ -1546,7 +1695,7 @@ private:
                     RDX);
       Fail.Sites.push_back(A.jcc32(CcNe));
       break;
-    case 2: // builtin stability
+    case GuardBuiltin:
       A.cmpMem8Imm8(R12, sOff(I.A, ValueLayout::Tag),
                     static_cast<uint8_t>(Tag::Builtin));
       Fail.Sites.push_back(A.jcc32(CcNe));
@@ -1554,7 +1703,14 @@ private:
                       static_cast<uint32_t>(M.ExpectedBuiltin));
       Fail.Sites.push_back(A.jcc32(CcNe));
       break;
-    default: // scalar-logical truth
+    case GuardEpoch:
+      // One load and one compare: the epoch cell's address is a
+      // constant of this code (a plain aligned 32-bit load is atomic).
+      A.movRegImm64(RAX, reinterpret_cast<uint64_t>(M.Epoch));
+      A.cmpMem32Imm32(RAX, 0, 0);
+      Fail.Sites.push_back(A.jcc32(CcNe));
+      break;
+    default: // GuardTruth
       A.cmpMem8Imm8(R12, sOff(I.A, ValueLayout::Tag),
                     static_cast<uint8_t>(Tag::Lgl));
       Fail.Sites.push_back(A.jcc32(CcNe));
@@ -1564,10 +1720,10 @@ private:
     }
     Stubs.push_back(std::move(Fail));
 
-    // Random-invalidation countdown (builtin guards are exempt — they
-    // model watchpoint-invalidated global assumptions, see exec.cpp).
-    // The fast path is one load + one compare when the mode is off.
-    if (I.C != 2) {
+    // Random-invalidation countdown (builtin guards are exempt: their
+    // facts are global assumptions, see lowGuardInjectable). The fast
+    // path is one load + one compare when the mode is off.
+    if (lowGuardInjectable(I)) {
       Stub Tick = newStub(Pc, Stub::GuardTick);
       A.movRegMem64(RAX, RBX, offsetof(NativeFrame, Hooks));
       A.cmpMem64Imm32(

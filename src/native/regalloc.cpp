@@ -30,14 +30,15 @@ void count(SlotUse &U, int32_t Pc, uint64_t W) {
   U.Weight += W;
 }
 
-/// True for the ArithTyped forms the stitcher inlines (and the fusion
-/// peephole builds on): rank-2 +,-,*,/ and rank-1 +,-,*.
+/// True for the ArithTyped forms the stitcher inlines: rank-2 +,-,*,/
+/// and rank-1 +,-,*,%%,%/% (the last two with a stub slow path).
 bool inlinedArith(BinOp Op, int Rank) {
   if (Rank == 2)
     return Op == BinOp::Add || Op == BinOp::Sub || Op == BinOp::Mul ||
            Op == BinOp::Div;
   if (Rank == 1)
-    return Op == BinOp::Add || Op == BinOp::Sub || Op == BinOp::Mul;
+    return Op == BinOp::Add || Op == BinOp::Sub || Op == BinOp::Mul ||
+           Op == BinOp::Mod || Op == BinOp::IDiv;
   return false;
 }
 
@@ -423,6 +424,17 @@ RegAllocation rjit::allocateRegisters(const LowFunction &F,
         useReal(I.Dst, Pc, W);
       else
         useInt(I.Dst, Pc, W);
+      break;
+    }
+    case LowOp::SetElem2Typed: {
+      Tag K = static_cast<Tag>(I.C & 0xFF);
+      if ((K != Tag::Real && K != Tag::Int) || !(I.C & 0x100))
+        break; // helper path
+      useInt(I.B, Pc, W); // the index
+      if (K == Tag::Real)
+        useReal(static_cast<uint16_t>(I.Imm), Pc, W);
+      else
+        useInt(static_cast<uint16_t>(I.Imm), Pc, W);
       break;
     }
     case LowOp::CmpBranch: {

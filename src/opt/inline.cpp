@@ -209,6 +209,7 @@ private:
         NI->Knd = IP->Knd;
         NI->TagArg = IP->TagArg;
         NI->Bid = IP->Bid;
+        NI->Epoch = IP->Epoch;
         NI->Target = IP->Target;
         NI->Idx = IP->Idx;
         NI->BcPc = IP->BcPc;

@@ -47,6 +47,9 @@ bool guardKeyOf(const Instr *Assume, GuardKey &Key) {
     Extra = static_cast<uint64_t>(Cond->Bid);
     break;
   default:
+    // Not BuiltinsIntactIr either: a call between two epoch guards can
+    // rebind a builtin, so dominance alone does not make one cover the
+    // other (see elimRedundantEpochGuards).
     return false;
   }
   Key = {static_cast<uint8_t>(Cond->Op), canonicalGuardValue(Cond->op(0)),
@@ -87,13 +90,87 @@ struct GuardEliminator {
   }
 };
 
+/// True for an epoch guard (Assume on BuiltinsIntactIr).
+bool isEpochGuard(const Instr *I) {
+  return I->Op == IrOp::AssumeIr && I->Ops.size() == 2 &&
+         I->op(0)->Op == IrOp::BuiltinsIntactIr;
+}
+
+/// True for the instructions that can rebind a builtin and so bump the
+/// epoch an epoch guard checks: closure calls (the callee may assign
+/// with <<-) and environment stores.
+bool mayRebindBuiltins(IrOp Op) {
+  switch (Op) {
+  case IrOp::CallVal:
+  case IrOp::CallStatic:
+  case IrOp::StVarEnv:
+  case IrOp::StVarSuperEnv:
+  case IrOp::SetIdx2Env:
+  case IrOp::SetIdx1Env:
+    return true;
+  default:
+    return false;
+  }
+}
+
+/// Removes the epoch guards that every path from the entry reaches
+/// through a passing epoch guard with no possible rebind since: the epoch
+/// cannot have moved, so they cannot fail. A forward must-analysis over
+/// the CFG rather than dominance keys, because what invalidates the fact
+/// is an instruction on some path between the two guards.
+uint32_t elimRedundantEpochGuards(IrCode &C) {
+  if (!C.Entry)
+    return 0;
+  // Checked[B]: the epoch is known unchanged at B's end.
+  std::vector<char> Checked(C.NextBlockId, 1);
+  auto In = [&](const BB *B) {
+    if (B == C.Entry)
+      return false;
+    for (const BB *P : B->Preds)
+      if (!Checked[P->Id])
+        return false;
+    return true;
+  };
+  auto Step = [](const Instr *I, bool Known) {
+    return isEpochGuard(I) || (Known && !mayRebindBuiltins(I->Op));
+  };
+  std::vector<BB *> Rpo = C.rpo();
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (BB *B : Rpo) {
+      bool Known = In(B);
+      for (auto &IP : B->Instrs)
+        Known = Step(IP.get(), Known);
+      if (Known != static_cast<bool>(Checked[B->Id])) {
+        Checked[B->Id] = Known;
+        Changed = true;
+      }
+    }
+  }
+  uint32_t Removed = 0;
+  for (BB *B : Rpo) {
+    bool Known = In(B);
+    auto &Is = B->Instrs;
+    for (size_t K = 0; K < Is.size();) {
+      if (Known && isEpochGuard(Is[K].get())) {
+        Is.erase(Is.begin() + static_cast<ptrdiff_t>(K));
+        ++Removed;
+        continue;
+      }
+      Known = Step(Is[K].get(), Known);
+      ++K;
+    }
+  }
+  return Removed;
+}
+
 uint32_t elimRedundantGuards(IrCode &C) {
   if (!C.Entry)
     return 0;
   DomTree DT(C);
   GuardEliminator E{DT, {}, 0};
   E.visit(C.Entry);
-  return E.Removed;
+  return E.Removed + elimRedundantEpochGuards(C);
 }
 
 //===----------------------------------------------------------------------===//
@@ -115,6 +192,7 @@ bool totallyHoistable(const Instr *I) {
   case IrOp::IsTagIr:    // guard predicates are pure tag/identity tests
   case IrOp::IsFunIr:
   case IrOp::IsBuiltinIr:
+  case IrOp::BuiltinsIntactIr:
     return true;
   case IrOp::CoerceNum:
     // Scalar numeric coercion cannot raise when the operand is statically
@@ -307,10 +385,21 @@ struct LoopHoister {
     // Collect candidates first: moving instructions invalidates the block
     // iteration. A guard qualifies when its predicate tests a value with a
     // pre-loop definition — the predicate itself moves along with the
-    // guard (it is pure and emits no code of its own).
+    // guard (it is pure and emits no code of its own). An epoch guard
+    // qualifies when nothing in the loop can rebind a builtin: the epoch
+    // is then loop invariant, and one check before the loop covers all.
     std::vector<Instr *> Candidates;
+    Instr *EpochGuard = nullptr;
+    bool EpochInvariant = true;
     for (BB *B : BodyRpo)
       for (auto &IP : B->Instrs) {
+        if (mayRebindBuiltins(IP->Op))
+          EpochInvariant = false;
+        if (isEpochGuard(IP.get())) {
+          if (!EpochGuard)
+            EpochGuard = IP.get();
+          continue;
+        }
         if (IP->Op != IrOp::AssumeIr || IP->Ops.size() != 2)
           continue;
         Instr *Cond = IP->op(0);
@@ -321,6 +410,10 @@ struct LoopHoister {
           continue; // the guarded value varies inside the loop
         Candidates.push_back(IP.get());
       }
+    // One epoch guard per preheader: redundant-guard elimination then
+    // drops the loop's others, which the hoisted one now covers.
+    if (EpochInvariant && EpochGuard)
+      Candidates.push_back(EpochGuard);
     if (Candidates.empty())
       return;
 

@@ -614,10 +614,37 @@ private:
         St.Locals[S] = V; // remember the refinement
         return V;
       }
+      if (Instr *B = builtinConstant(S))
+        return B;
     }
     Instr *L = add(IrOp::LdVarEnv, RType::any());
     L->Sym = S;
     return maybeSpeculateType(L, FbIdx);
+  }
+
+  /// A free read of a builtin's name in a top-level function whose global
+  /// environment never rebound a builtin: the builtin itself, as a
+  /// constant, under an epoch guard. The guard's checkpoint is the read's
+  /// own pc, so a failure resumes at the read and the baseline re-reads
+  /// the binding. Null when the read must go through the environment:
+  /// nested functions (their enclosing frames may bind the name), a
+  /// rebound epoch, or no speculation.
+  Instr *builtinConstant(Symbol S) {
+    // A compiler thread may read a stale 0: the guard then fails at run
+    // time, which is all a rebind needs.
+    if (!Opts.Speculate || !Fn->GlobalEpoch ||
+        Fn->GlobalEpoch->load() != 0)
+      return nullptr;
+    int B = builtinOfSymbol(S);
+    if (B < 0)
+      return nullptr;
+    Instr *Cond = add(IrOp::BuiltinsIntactIr, RType::of(Tag::Lgl));
+    Cond->Epoch = Fn->GlobalEpoch;
+    Instr *As = add(IrOp::AssumeIr, RType::none(), {Cond, checkpoint()});
+    As->RKind = DeoptReasonKind::BuiltinGuard;
+    As->BcPc = CurPc;
+    As->Idx = -1;
+    return constant(Value::builtin(static_cast<BuiltinId>(B)));
   }
 
   /// Returns true to continue within the block; false when the instruction
@@ -836,6 +863,16 @@ private:
     for (size_t K = NArgs; K > 0; --K)
       Args[K - 1] = pop();
     Instr *Callee = pop();
+
+    // A builtin read as a constant needs neither feedback nor a guard:
+    // this also types the call sites the baseline never reached.
+    if (Callee->Op == IrOp::Const && Callee->Cst.tag() == Tag::Builtin) {
+      Instr *R = add(IrOp::CallBuiltinKnown, RType::any());
+      R->Bid = Callee->Cst.builtinId();
+      R->Ops = Args;
+      push(R);
+      return;
+    }
 
     const CallFeedback &CF = profileOf(Fn).Calls[I.B];
     if (Opts.Speculate && CF.monomorphicBuiltin()) {

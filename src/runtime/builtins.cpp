@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 using namespace rjit;
 
@@ -280,9 +281,41 @@ const char *rjit::builtinName(BuiltinId Id) {
   return "?";
 }
 
+namespace {
+
+/// The builtins' interned names, built once per process: every Vm's global
+/// environment binds the same names.
+struct BuiltinSymbols {
+  Symbol ByTable[NumBuiltins] = {}; ///< in Table order
+  std::vector<int16_t> Ids;    ///< symbol -> builtin id, -1: none
+};
+
+const BuiltinSymbols &builtinSymbols() {
+  static const BuiltinSymbols B = [] {
+    BuiltinSymbols R;
+    for (unsigned K = 0; K < NumBuiltins; ++K) {
+      Symbol S = symbol(Table[K].Name);
+      R.ByTable[K] = S;
+      if (S >= R.Ids.size())
+        R.Ids.resize(S + 1, -1);
+      R.Ids[S] = static_cast<int16_t>(Table[K].Id);
+    }
+    return R;
+  }();
+  return B;
+}
+
+} // namespace
+
+int rjit::builtinOfSymbol(Symbol S) {
+  const std::vector<int16_t> &Ids = builtinSymbols().Ids;
+  return S < Ids.size() ? Ids[S] : -1;
+}
+
 void rjit::installBuiltins(Env &GlobalEnv) {
-  for (const auto &E : Table)
-    GlobalEnv.set(symbol(E.Name), Value::builtin(E.Id));
+  const BuiltinSymbols &B = builtinSymbols();
+  for (unsigned K = 0; K < NumBuiltins; ++K)
+    GlobalEnv.set(B.ByTable[K], Value::builtin(Table[K].Id));
 }
 
 Value rjit::callBuiltin(BuiltinId Id, const Value *Args, size_t N) {

@@ -85,6 +85,10 @@ const char *builtinName(BuiltinId Id);
 /// errors.
 Value callBuiltin(BuiltinId Id, const Value *Args, size_t N);
 
+/// The builtin whose R name is \p S, or -1 when \p S names none. The
+/// symbol table behind it is built once per process.
+int builtinOfSymbol(Symbol S);
+
 /// Binds every builtin under its R name in \p GlobalEnv.
 void installBuiltins(Env &GlobalEnv);
 

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "runtime/env.h"
+#include "runtime/builtins.h"
 
 using namespace rjit;
 
@@ -43,7 +44,7 @@ const Value &Env::get(Symbol S) const {
   rerror("object '" + symbolName(S) + "' not found");
 }
 
-Value *Env::findLocal(Symbol S) {
+Value *Env::slot(Symbol S) {
   for (auto &B : Bindings)
     if (B.first == S)
       return &B.second;
@@ -57,15 +58,28 @@ const Value *Env::findLocal(Symbol S) const {
   return nullptr;
 }
 
-Value *Env::findRecursive(Symbol S) {
-  for (Env *E = this; E; E = E->Parent)
-    if (Value *V = E->findLocal(S))
-      return V;
-  return nullptr;
+void Env::noteBind(Symbol S, const Value *V) {
+  if (Parent)
+    return; // only the global environment's builtin bindings are watched
+  int B = builtinOfSymbol(S);
+  if (B < 0)
+    return;
+  if (V && V->tag() == Tag::Builtin &&
+      V->builtinId() == static_cast<BuiltinId>(B))
+    return;
+  ++Epoch;
+}
+
+Value *Env::findLocal(Symbol S) {
+  Value *Slot = slot(S);
+  if (Slot)
+    noteBind(S, nullptr); // the caller may store anything into it
+  return Slot;
 }
 
 void Env::set(Symbol S, Value V) {
-  if (Value *Slot = findLocal(S)) {
+  noteBind(S, &V);
+  if (Value *Slot = slot(S)) {
     *Slot = std::move(V);
     return;
   }
@@ -73,16 +87,23 @@ void Env::set(Symbol S, Value V) {
 }
 
 void Env::setSuper(Symbol S, Value V) {
-  for (Env *E = Parent; E; E = E->Parent) {
-    if (Value *Slot = E->findLocal(S)) {
+  if (Parent)
+    Parent->assignNearest(S, std::move(V));
+  else
+    set(S, std::move(V));
+}
+
+void Env::assignNearest(Symbol S, Value V) {
+  Env *Outer = this;
+  for (Env *E = this; E; E = E->Parent) {
+    if (Value *Slot = E->slot(S)) {
+      E->noteBind(S, &V);
       *Slot = std::move(V);
       return;
     }
+    Outer = E;
   }
   // Unbound anywhere: define in the outermost environment, like R's
   // assignment into globalenv().
-  Env *Outer = this;
-  while (Outer->Parent)
-    Outer = Outer->Parent;
   Outer->set(S, std::move(V));
 }

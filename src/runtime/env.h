@@ -20,6 +20,7 @@
 #include "runtime/value.h"
 #include "support/interner.h"
 
+#include <atomic>
 #include <utility>
 #include <vector>
 
@@ -37,12 +38,10 @@ public:
   /// Looks up \p S through the parent chain; raises RError if unbound.
   const Value &get(Symbol S) const;
 
-  /// Returns the local binding slot or null.
+  /// Returns the local binding slot or null. Handing out a mutable slot
+  /// of a builtin's name counts as a rebind (see builtinEpoch()).
   Value *findLocal(Symbol S);
   const Value *findLocal(Symbol S) const;
-
-  /// Returns the nearest binding slot through the parent chain, or null.
-  Value *findRecursive(Symbol S);
 
   /// Defines or overwrites the local binding (R's <-).
   void set(Symbol S, Value V);
@@ -50,6 +49,19 @@ public:
   /// R's <<-: assigns to the nearest enclosing binding, or defines in the
   /// outermost environment when unbound anywhere.
   void setSuper(Symbol S, Value V);
+
+  /// Assigns to the nearest binding of \p S starting at this environment
+  /// itself, or defines it in the outermost one when unbound anywhere
+  /// (<<- from a frame whose own environment was elided).
+  void assignNearest(Symbol S, Value V);
+
+  /// The builtin-rebind epoch of a global (parentless) environment: how
+  /// many times it bound a builtin's name to anything other than that
+  /// builtin, or handed out a mutable slot of such a binding. While it is
+  /// 0 every builtin name still denotes its builtin, so compiled code of
+  /// top-level functions reads those names as constants under one epoch
+  /// check; compiler threads read it concurrently.
+  const std::atomic<uint32_t> &builtinEpoch() const { return Epoch; }
 
   /// True if \p S is bound locally.
   bool hasLocal(Symbol S) const { return findLocal(S) != nullptr; }
@@ -71,6 +83,11 @@ public:
 private:
   Env *Parent; ///< retained
   std::vector<std::pair<Symbol, Value>> Bindings;
+  std::atomic<uint32_t> Epoch{0};
+
+  Value *slot(Symbol S);
+  /// Bumps the epoch when binding \p S to \p V rebinds a builtin's name.
+  void noteBind(Symbol S, const Value *V);
 };
 
 inline Env *Value::env() const {

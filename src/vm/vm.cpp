@@ -337,6 +337,10 @@ bool vmAsyncContinuationCompile(Function *Fn, const DeoptContext &Ctx) {
 Vm::Vm(Config C) : Cfg(C) {
   assert(!CurrentVm && "only one Vm may be active at a time");
   CurrentVm = this;
+  // BaselineOnly is the reference every other mode is checked against: it
+  // must never run compiled code, so no OSR-in hook is installed either.
+  if (Cfg.Strategy == TierStrategy::BaselineOnly)
+    Cfg.OsrIn = false;
   // This executor thread's retire-epoch tracker: every ExecutableCode
   // activation pins it (CodeActivation), and the graveyard safepoint
   // consults it to decide which retired code is drained.
@@ -570,6 +574,10 @@ bool Vm::eval(const std::string &Source, Value &Result, std::string &Error) {
     return false;
   }
   Modules.push_back(std::move(B.Mod));
+  // Top-level code runs in the global environment, so every closure of a
+  // function it creates captures that environment.
+  for (Function *Fn : Modules.back()->Top->InnerFns)
+    Fn->GlobalEpoch = &Global->builtinEpoch();
   Result = interpret(Modules.back()->Top, Global);
   return true;
 }

@@ -106,7 +106,7 @@ public:
     TierStrategy Strategy = TierStrategy::Normal;
     uint32_t CompileThreshold = 3; ///< closure calls before optimizing
     uint32_t OsrThreshold = 200;   ///< interpreter backedges before OSR-in
-    bool OsrIn = true;
+    bool OsrIn = true; ///< always off under BaselineOnly (the reference)
     uint64_t InvalidationRate = 0; ///< 1-in-N random guard failures (§5.1)
     uint64_t InvalidationSeed = 12345;
     bool FeedbackCleanup = true;   ///< §4.3 cleanup pass (ablation)

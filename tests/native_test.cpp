@@ -28,6 +28,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace rjit;
 
 namespace {
@@ -884,4 +886,294 @@ TEST(NativeJit, BackgroundCompilePublishesNativeCode) {
   EXPECT_GT(stats().NativeEnters, 0u)
       << "the drained background compile must have published native "
          "code through the snapshot/COW discipline";
+}
+
+//===----------------------------------------------------------------------===//
+// Typed element stores and integer %% / %/%
+
+namespace {
+
+/// s_dst <- s0 with [[i0]] <- value, stealing s0, for element kind \p K
+/// (value: i1 for Int, d0 for Real); returns s_dst. Params: s0 the
+/// container, s1 the destination's old content, i0 the index, then the
+/// value. \p InPlace stores back into s0 (Dst == A).
+std::unique_ptr<LowFunction> typedStore(Tag K, bool InPlace) {
+  auto F = std::make_unique<LowFunction>();
+  F->NumSlots = 2;
+  F->NumSlotsI = 2;
+  F->NumSlotsD = 1;
+  F->NumParams = 4;
+  bool Int = K == Tag::Int;
+  F->ParamClasses = {SlotClass::Boxed, SlotClass::Boxed, SlotClass::RawInt,
+                     Int ? SlotClass::RawInt : SlotClass::RawReal};
+  F->ParamSlots = {0, 1, 0, static_cast<uint16_t>(Int ? 1 : 0)};
+  uint16_t Dst = InPlace ? 0 : 1;
+  LowInstr St{LowOp::SetElem2Typed, Dst, 0, 0,
+              static_cast<uint16_t>(static_cast<uint16_t>(K) | 0x100),
+              Int ? 1 : 0};
+  F->Code = {St, LowInstr{LowOp::RetLow, 0, Dst}};
+  return F;
+}
+
+/// The outcome of one run: the result (or the error text) and the
+/// copy-on-write copies it made.
+struct StoreRun {
+  std::string Out;
+  uint64_t Cow = 0;
+};
+
+/// Runs typedStore(K, InPlace) over (container, old destination, index,
+/// value). The arguments are moved, not copied out of an initializer
+/// list, so a container only the caller's argument holds reaches the
+/// store unshared.
+StoreRun runStore(ExecBackend &B, Tag K, bool InPlace, Value Container,
+                  Value OldDst, int32_t Idx, Value Elem) {
+  std::vector<Value> Args;
+  Args.push_back(std::move(Container));
+  Args.push_back(std::move(OldDst));
+  Args.push_back(Value::integer(Idx));
+  Args.push_back(std::move(Elem));
+  std::unique_ptr<ExecutableCode> X = B.prepare(typedStore(K, InPlace));
+  uint64_t Cow0 = stats().CowCopies;
+  StoreRun R;
+  try {
+    R.Out = X->run(std::move(Args), nullptr, nullptr).show();
+  } catch (const RError &E) {
+    R.Out = std::string("error: ") + E.what();
+  }
+  R.Cow = stats().CowCopies - Cow0;
+  return R;
+}
+
+/// An ArithTyped int op over params i0, i1, boxed: the %% / %/% template
+/// under test. With \p ConstDivisor the divisor is a LoadConst instead,
+/// which register allocation folds into an immediate.
+std::unique_ptr<LowFunction> intDivMod(BinOp Op, bool ConstDivisor,
+                                       int32_t Divisor) {
+  auto F = std::make_unique<LowFunction>();
+  F->NumSlots = 1;
+  F->NumSlotsI = 3;
+  F->NumParams = 2;
+  F->ParamClasses = {SlotClass::RawInt, SlotClass::RawInt};
+  F->ParamSlots = {0, 1};
+  F->Consts.push_back(Value::integer(Divisor));
+  if (ConstDivisor)
+    F->Code.push_back(
+        LowInstr{LowOp::LoadConst, 1, 0, cls(SlotClass::RawInt), 0, 0});
+  F->Code.push_back(LowInstr{LowOp::ArithTyped, 2, 0, 1, typedOp(Op, 1)});
+  F->Code.push_back(LowInstr{LowOp::Box, 0, 2, 0, cls(SlotClass::RawInt)});
+  F->Code.push_back(LowInstr{LowOp::RetLow, 0, 0});
+  return F;
+}
+
+std::string runDivMod(ExecBackend &B, BinOp Op, bool ConstDivisor,
+                      int32_t X, int32_t Y) {
+  std::unique_ptr<ExecutableCode> E =
+      B.prepare(intDivMod(Op, ConstDivisor, Y));
+  try {
+    return E->run({Value::integer(X), Value::integer(Y)}, nullptr, nullptr)
+        .show();
+  } catch (const RError &Err) {
+    return std::string("error: ") + Err.what();
+  }
+}
+
+} // namespace
+
+TEST(NativeInline, TypedStoreMatchesTheHandler) {
+  if (!nativeBackendSupported())
+    GTEST_SKIP() << "no native backend on this host";
+  // Every shape of a stealing typed store — unshared in place, shared
+  // (copy-on-write), growth past the end, a length-one scalar container,
+  // out-of-range indices, a destination holding a heap value — in both
+  // element kinds and both slot shapes: the native result, error text and
+  // copy count equal the LowCode interpreter's.
+  for (Tag K : {Tag::Int, Tag::Real}) {
+    bool Int = K == Tag::Int;
+    auto Vec = [Int] {
+      return Int ? Value::intVec({1, 2, 3}) : Value::realVec({1, 2, 3});
+    };
+    Value Elem = Int ? Value::integer(40) : Value::real(40.5);
+    Value Scalar = Int ? Value::integer(7) : Value::real(7.5);
+    for (bool InPlace : {true, false})
+      for (bool Regalloc : {true, false}) {
+        std::unique_ptr<ExecBackend> B =
+            makeNativeBackend(regallocOpts(Regalloc));
+        std::string Label = std::string(Int ? "int" : "real") +
+                            (InPlace ? " in place" : " moved") +
+                            (Regalloc ? " regalloc" : "");
+        for (int32_t Idx : {1, 3, 5, 0, -2}) {
+          // Unshared: the args vector holds the only reference.
+          StoreRun Want = runStore(interpBackend(), K, InPlace, Vec(),
+                                   Value::nil(), Idx, Elem);
+          StoreRun Got =
+              runStore(*B, K, InPlace, Vec(), Value::nil(), Idx, Elem);
+          EXPECT_EQ(Got.Out, Want.Out) << Label << " idx " << Idx;
+          EXPECT_EQ(Got.Cow, 0u) << Label << " idx " << Idx;
+          EXPECT_EQ(Want.Cow, 0u);
+        }
+        // Shared: the store must copy and leave the caller's vector
+        // alone.
+        Value Keep = Vec();
+        StoreRun Got = runStore(*B, K, InPlace, Keep, Value::nil(), 2, Elem);
+        StoreRun Want = runStore(interpBackend(), K, InPlace, Keep,
+                                 Value::nil(), 2, Elem);
+        EXPECT_EQ(Got.Out, Want.Out) << Label;
+        EXPECT_EQ(Got.Cow, 1u) << Label;
+        EXPECT_EQ(Keep.show(), Vec().show()) << Label;
+        EXPECT_EQ(Keep.object()->refCount(), 1u) << Label;
+        // A length-one scalar container widens to a vector.
+        for (int32_t Idx : {1, 2}) {
+          StoreRun S =
+              runStore(*B, K, InPlace, Scalar, Value::nil(), Idx, Elem);
+          StoreRun SW = runStore(interpBackend(), K, InPlace, Scalar,
+                                 Value::nil(), Idx, Elem);
+          EXPECT_EQ(S.Out, SW.Out) << Label << " scalar idx " << Idx;
+        }
+        // The destination slot holds a heap value: overwriting it needs a
+        // release, so the store takes the handler, and the value's count
+        // returns to the test's own reference.
+        Value Old = Value::list({Value::integer(1)});
+        StoreRun H = runStore(*B, K, InPlace, Vec(), Old, 2, Elem);
+        StoreRun HW =
+            runStore(interpBackend(), K, InPlace, Vec(), Old, 2, Elem);
+        EXPECT_EQ(H.Out, HW.Out) << Label;
+        EXPECT_EQ(Old.object()->refCount(), 1u) << Label;
+      }
+  }
+}
+
+TEST(NativeInline, TypedStoreErrorsMatchBaselineOnly) {
+  if (!nativeBackendSupported())
+    GTEST_SKIP() << "no native backend on this host";
+  // A compiled store whose index leaves the vector — below 1, or more
+  // than the generic store's growth bound past the end: the typed
+  // store's error text must be the baseline interpreter's.
+  const char *Setup = R"(
+    fill <- function(n, at) {
+      v <- integer(n)
+      for (i in 1:n) v[[i]] <- i
+      v[[at]] <- 0L
+      v[[1L]]
+    }
+  )";
+  for (const char *At : {"0L", "-3L", "2000000L"}) {
+    std::string Driver = std::string("fill(20L, ") + At + ")";
+    auto Run = [&](Vm::Config C) {
+      Vm V(C);
+      V.eval(Setup);
+      for (int K = 0; K < 4; ++K)
+        V.eval("fill(20L, 2L)");
+      try {
+        return V.eval(Driver).show();
+      } catch (const RError &E) {
+        return std::string("error: ") + E.what();
+      }
+    };
+    std::string Base = Run(cfg(TierStrategy::BaselineOnly, false));
+    EXPECT_NE(Base.find("error: "), std::string::npos) << Base;
+    for (bool Regalloc : {true, false}) {
+      Vm::Config C = v2cfg(TierStrategy::Deoptless);
+      C.NativeV2.Regalloc = Regalloc;
+      EXPECT_EQ(Run(C), Base) << At << " regalloc " << Regalloc;
+    }
+  }
+}
+
+TEST(NativeInline, TypedStoreCopiesLikeLowCode) {
+  if (!nativeBackendSupported())
+    GTEST_SKIP() << "no native backend on this host";
+  // A fill loop over a vector the caller still holds: exactly one
+  // copy-on-write copy per call on both backends, and the caller's
+  // vector unchanged.
+  const char *Setup = R"(
+    bump <- function(v, n) {
+      for (i in 1:n) v[[i]] <- v[[i]] + 1L
+      v[[n]]
+    }
+    data <- 1:50
+  )";
+  const char *Driver = "c(bump(data, 50L), data[[50L]])";
+  std::string Want;
+  uint64_t WantCow = 0;
+  for (bool Native : {false, true})
+    for (bool Regalloc : {true, false}) {
+      Vm::Config C = v2cfg(TierStrategy::Normal);
+      C.NativeTier = Native;
+      C.NativeV2.Regalloc = Regalloc;
+      std::string Got = runUnder(C, Setup, Driver, 8);
+      if (!Native && Regalloc) {
+        Want = Got;
+        WantCow = stats().CowCopies;
+        continue;
+      }
+      EXPECT_EQ(Got, Want) << "native " << Native << " regalloc " << Regalloc;
+      EXPECT_EQ(stats().CowCopies, WantCow)
+          << "native " << Native << " regalloc " << Regalloc;
+    }
+  EXPECT_EQ(Want, "c(51L, 50L)");
+  EXPECT_EQ(WantCow, 8u);
+}
+
+TEST(NativeInline, IntDivModMatchesTheHandler) {
+  if (!nativeBackendSupported())
+    GTEST_SKIP() << "no native backend on this host";
+  // R's floored %% and %/% over a sign matrix with the extremes, the
+  // divisor -1 (INT_MIN %/% -1 wraps) and 0 (an error), with the divisor
+  // in a slot and as a folded constant.
+  const int32_t Min = std::numeric_limits<int32_t>::min();
+  const int32_t Max = std::numeric_limits<int32_t>::max();
+  const std::vector<int32_t> Vals{0, 1, -1, 2, -2, 7, -7, 13, -13, Max, Min};
+  for (bool Regalloc : {true, false}) {
+    std::unique_ptr<ExecBackend> B = makeNativeBackend(regallocOpts(Regalloc));
+    for (BinOp Op : {BinOp::Mod, BinOp::IDiv})
+      for (bool Const : {false, true})
+        for (int32_t X : Vals)
+          for (int32_t Y : Vals)
+            EXPECT_EQ(runDivMod(*B, Op, Const, X, Y),
+                      runDivMod(interpBackend(), Op, Const, X, Y))
+                << (Op == BinOp::Mod ? "%%" : "%/%") << " " << X << " "
+                << Y << " const " << Const << " regalloc " << Regalloc;
+  }
+  std::unique_ptr<ExecBackend> B = makeNativeBackend(regallocOpts(true));
+  EXPECT_EQ(runDivMod(*B, BinOp::Mod, false, -7, 3), "2L");
+  EXPECT_EQ(runDivMod(*B, BinOp::IDiv, false, -7, 2), "-4L");
+  EXPECT_EQ(runDivMod(*B, BinOp::IDiv, false, Min, -1),
+            std::to_string(Min) + "L");
+  EXPECT_EQ(runDivMod(*B, BinOp::Mod, false, 5, 0),
+            "error: integer modulo by zero");
+  EXPECT_EQ(runDivMod(*B, BinOp::IDiv, true, 5, 0),
+            "error: integer division by zero");
+}
+
+TEST(NativeInline, IntDivModErrorsMatchBaselineOnly) {
+  if (!nativeBackendSupported())
+    GTEST_SKIP() << "no native backend on this host";
+  const char *Setup = R"(
+    digits <- function(n, q) {
+      s <- 0L
+      for (k in 1:n) s <- s + (k * 7L) %/% q + (k * 7L) %% q
+      s
+    }
+  )";
+  for (const char *Driver : {"digits(50L, 0L)", "digits(50L, -1L)",
+                             "digits(50L, -7L)"}) {
+    auto Run = [&](Vm::Config C) {
+      Vm V(C);
+      V.eval(Setup);
+      for (int K = 0; K < 4; ++K)
+        V.eval("digits(50L, 9L)");
+      try {
+        return V.eval(Driver).show();
+      } catch (const RError &E) {
+        return std::string("error: ") + E.what();
+      }
+    };
+    std::string Base = Run(cfg(TierStrategy::BaselineOnly, false));
+    for (bool Regalloc : {true, false}) {
+      Vm::Config C = v2cfg(TierStrategy::Normal);
+      C.NativeV2.Regalloc = Regalloc;
+      EXPECT_EQ(Run(C), Base) << Driver << " regalloc " << Regalloc;
+    }
+  }
 }

@@ -407,6 +407,15 @@ private:
     S += "kS <- function(a, n) {\n  v <- list(a, a)\n"
          "  for (i in 1:n) v[[2L]] <- v\n  w <- v\n"
          "  for (i in 1:n) w <- w[[2L]]\n  length(w) + w[[1L]]\n}\n";
+    // kT / kU: builtin reads in loops, compiled as epoch-guarded
+    // constants until the driver lines rebind the names — Mod from top
+    // level between calls, abs from kV, a callee kU calls mid-loop.
+    S += "kT <- function(z, n) {\n  s <- 0\n"
+         "  for (i in 1:n) s <- s + Mod(z) + abs(i - 2L)\n  s\n}\n";
+    S += "kV <- function() {\n  abs <<- function(x) 1000L\n  0L\n}\n";
+    S += "kU <- function(n, k) {\n  s <- 0L\n  for (i in 1:n) {\n"
+         "    s <- s + abs(i)\n    if (i == k) s <- s + kV()\n  }\n"
+         "  s\n}\n";
     // Data: int/real vectors and lists for the two phases.
     int M = 4 + static_cast<int>(R.below(5));
     S += "m <- " + std::to_string(M) + "L\n";
@@ -490,6 +499,17 @@ private:
     // phase so that kS compiles by the second round.
     for (int Phase : {0, 1})
       Lines.push_back("kS(" + scalar(Phase) + ", m)");
+    // The rebinding shape, appended the same way: warm kT and kU, rebind
+    // abs mid-loop in compiled kU, then Mod at top level. The second
+    // round re-runs every line against the rebound names.
+    for (int Phase : {0, 1})
+      Lines.push_back("kT(" + scalar(Phase) + ", m)");
+    for (int K = 0; K < 3; ++K)
+      Lines.push_back("kU(m, 0L)");
+    Lines.push_back("kU(m, 2L)");
+    Lines.push_back("kT(" + scalar(1) + ", m)");
+    Lines.push_back("Mod <- function(z) 100");
+    Lines.push_back("kT(" + scalar(0) + ", m)");
     return Lines;
   }
 };
@@ -583,6 +603,12 @@ TEST_P(DiffFuzz, AllConfigurationsAgree) {
     ++fuzzCoverage().Programs;
 
     std::string Base = runProgram(P, cfg(TierStrategy::BaselineOnly));
+    // The reference never runs compiled code, OSR-in loops included: a
+    // miscompile shared with the checked modes could not show otherwise.
+    EXPECT_EQ(stats().Compilations, 0u) << "seed " << Seed;
+    EXPECT_EQ(stats().OsrInCompilations, 0u) << "seed " << Seed;
+    EXPECT_EQ(stats().DeoptlessCompiles, 0u) << "seed " << Seed;
+    EXPECT_EQ(stats().NativeCompiles, 0u) << "seed " << Seed;
     for (TierStrategy S : {TierStrategy::Normal, TierStrategy::Deoptless,
                            TierStrategy::ProfileDrivenReopt})
       for (bool Ctx : {false, true})

@@ -1,5 +1,6 @@
 //===-- tests/vm_test.cpp - Tier manager & OSR integration tests -----------===//
 
+#include "dispatch/context.h"
 #include "native/native.h"
 #include "osr/deoptless.h"
 #include "support/stats.h"
@@ -623,4 +624,233 @@ TEST(VmEquivalence, AllStrategiesAgreeOnMixedWorkload) {
   }
   EXPECT_DOUBLE_EQ(Results[0], Results[1]);
   EXPECT_DOUBLE_EQ(Results[0], Results[2]);
+}
+
+//===----------------------------------------------------------------------===//
+// Builtin rebinding: top-level functions read builtin names as constants
+// under an epoch guard; every rebind must still be observed exactly as
+// the baseline observes it.
+
+namespace {
+
+/// True when the generic version of \p Fn holds a GuardCond of \p Kind.
+bool versionHasGuard(Vm &V, Function *Fn, GuardKind Kind) {
+  FnVersion *Ver =
+      V.stateFor(Fn).Versions.dispatch(genericContext(Fn->Params.size()));
+  if (!Ver || !Ver->code())
+    return false;
+  for (const LowInstr &I : Ver->code()->low().Code)
+    if (I.Op == LowOp::GuardCond && I.C == Kind)
+      return true;
+  return false;
+}
+
+Function *fnNamed(Vm &V, const char *Name) {
+  return V.eval(Name).closObj()->Fn;
+}
+
+std::string runSteps(Vm &V, const std::vector<std::string> &Steps) {
+  std::string Out;
+  for (const std::string &S : Steps)
+    Out += V.eval(S).show() + "\n";
+  return Out;
+}
+
+/// One rebinding scenario: \p Warm compiles \p Guarded with an epoch
+/// guard; \p After starts with a rebind of a builtin name, so the next
+/// call of \p Guarded fails that guard.
+struct RebindCase {
+  const char *Setup;
+  std::vector<std::string> Warm;
+  const char *Guarded;
+  std::vector<std::string> After;
+};
+
+/// Runs \p C under {Normal, Deoptless} x {LowCode, native}: every
+/// transcript equals BaselineOnly's, \p Guarded holds an epoch guard
+/// after warm-up, and an epoch guard fails once the builtin is rebound.
+/// \p Check runs on each warm optimized Vm.
+template <typename CheckFn>
+void expectRebindAgrees(const RebindCase &C, CheckFn Check) {
+  std::string Base;
+  {
+    Vm V(cfg(TierStrategy::BaselineOnly));
+    V.eval(C.Setup);
+    Base = runSteps(V, C.Warm);
+    Base += runSteps(V, C.After);
+  }
+  std::vector<bool> Backends{false};
+  if (nativeBackendSupported())
+    Backends.push_back(true);
+  for (TierStrategy S : {TierStrategy::Normal, TierStrategy::Deoptless})
+    for (bool Native : Backends) {
+      Vm::Config Cf = cfg(S);
+      Cf.NativeTier = Native;
+      Vm V(Cf);
+      V.eval(C.Setup);
+      std::string Label = std::string(S == TierStrategy::Normal
+                                          ? "normal"
+                                          : "deoptless") +
+                          (Native ? "/native" : "/lowcode");
+      std::string Got = runSteps(V, C.Warm);
+      EXPECT_TRUE(versionHasGuard(V, fnNamed(V, C.Guarded), GuardEpoch))
+          << Label << ": " << C.Guarded << " compiled without an epoch guard";
+      EXPECT_EQ(V.global()->builtinEpoch().load(), 0u) << Label;
+      Check(V, Label);
+      uint64_t Failures = stats().AssumeFailures;
+      Got += runSteps(V, C.After);
+      EXPECT_GT(V.global()->builtinEpoch().load(), 0u) << Label;
+      EXPECT_GT(stats().AssumeFailures, Failures)
+          << Label << ": no guard failed after the rebind";
+      EXPECT_EQ(Got, Base) << Label;
+    }
+}
+
+void noCheck(Vm &, const std::string &) {}
+
+} // namespace
+
+TEST(BuiltinRebind, TopLevelRebindBetweenCalls) {
+  RebindCase C{R"(
+f <- function(n) {
+  s <- 0
+  for (i in 1:n) s <- s + Mod(i * 1i)
+  s
+}
+)",
+               {"f(30L)", "f(30L)", "f(30L)", "f(30L)"},
+               "f",
+               {"Mod <- function(z) 100", "f(30L)", "f(30L)", "f(30L)"}};
+  expectRebindAgrees(C, noCheck);
+}
+
+TEST(BuiltinRebind, CalleeSuperAssignsMidLoop) {
+  // The loop calls a closure, so its epoch guard stays per iteration: the
+  // iteration after the rebind fails it and resumes at the read of Mod.
+  RebindCase C{R"(
+rebind <- function() {
+  Mod <<- function(z) 1000
+  0
+}
+g <- function(n, k) {
+  s <- 0
+  for (i in 1:n) {
+    s <- s + Mod(-i)
+    if (i == k) s <- s + rebind()
+  }
+  s
+}
+)",
+               {"g(20L, 0L)", "g(20L, 0L)", "g(20L, 0L)", "g(20L, 0L)"},
+               "g",
+               {"g(20L, 10L)", "g(20L, 0L)", "g(20L, 0L)", "g(20L, 0L)"}};
+  expectRebindAgrees(C, noCheck);
+}
+
+TEST(BuiltinRebind, RebindBeforeAHoistedEpochGuard) {
+  // Nothing in the loop can rebind a builtin, so its epoch guard runs
+  // once, in the preheader.
+  RebindCase C{R"(
+h <- function(v, n) {
+  s <- 0L
+  for (i in 1:n) s <- s + length(v)
+  s
+}
+)",
+               {"h(1:7, 10L)", "h(1:7, 10L)", "h(1:7, 10L)", "h(1:7, 10L)"},
+               "h",
+               {"length <- function(x) 2L", "h(1:7, 10L)", "h(1:7, 10L)",
+                "h(1:7, 10L)"}};
+  expectRebindAgrees(C, [](Vm &, const std::string &Label) {
+    EXPECT_GT(stats().HoistedGuards, 0u)
+        << Label << ": the epoch guard was not hoisted";
+  });
+}
+
+TEST(BuiltinRebind, LocalsNamedLikeBuiltinsStayLocal) {
+  // `c` (a parameter) and `sum` (a local) shadow builtins inside k: their
+  // reads are locals, never the builtin constants.
+  RebindCase C{R"(
+k <- function(c, n) {
+  sum <- 0
+  for (i in 1:n) sum <- sum + c * i
+  sum + length(c)
+}
+)",
+               {"k(2, 10L)", "k(2.5, 10L)", "k(2, 10L)", "k(2, 10L)"},
+               "k",
+               {"bitwXor <- 0L", "k(2, 10L)", "k(3, 4L)"}};
+  expectRebindAgrees(C, noCheck);
+}
+
+TEST(BuiltinRebind, NestedFunctionsKeepTheIdentityGuard) {
+  // inner is not top-level (its enclosing frame could bind abs), and
+  // outer needs a real environment: both read abs through the
+  // environment, inner under the builtin-identity guard.
+  RebindCase C{R"(
+outer <- function(n) {
+  inner <- function(x) abs(x) - 1
+  s <- 0
+  for (i in 1:n) s <- s + inner(-i)
+  s
+}
+drive <- function(n) outer(n) + sqrt(4)
+)",
+               {"drive(10L)", "drive(10L)", "drive(10L)", "drive(10L)",
+                "drive(10L)"},
+               "drive",
+               {"abs <- function(x) 5", "drive(10L)", "drive(10L)",
+                "drive(10L)"}};
+  expectRebindAgrees(C, [](Vm &V, const std::string &Label) {
+    Function *Inner = fnNamed(V, "outer")->InnerFns[0];
+    EXPECT_TRUE(versionHasGuard(V, Inner, GuardBuiltin)) << Label;
+    EXPECT_FALSE(versionHasGuard(V, Inner, GuardEpoch)) << Label;
+  });
+}
+
+TEST(BuiltinRebind, RebindInOneVmLeavesAnotherVmsGuards) {
+  // Vms are one per thread: the second runs (and rebinds Mod) on its own
+  // thread while the first keeps its compiled code.
+  const char *Setup = R"(
+f <- function(n) {
+  s <- 0
+  for (i in 1:n) s <- s + Mod(i * 1i)
+  s
+}
+)";
+  std::vector<bool> Backends{false};
+  if (nativeBackendSupported())
+    Backends.push_back(true);
+  for (bool Native : Backends) {
+    Vm::Config Cf = cfg(TierStrategy::Deoptless);
+    Cf.NativeTier = Native;
+    Vm V(Cf);
+    V.eval(Setup);
+    for (int K = 0; K < 4; ++K)
+      EXPECT_EQ(V.eval("f(30L)").show(), "465");
+    Function *Fn = fnNamed(V, "f");
+    ASSERT_TRUE(versionHasGuard(V, Fn, GuardEpoch));
+    FnVersion *Ver =
+        V.stateFor(Fn).Versions.dispatch(genericContext(Fn->Params.size()));
+    ExecutableCode *Code = Ver->code();
+    uint64_t Hits = Ver->Hits;
+
+    std::thread Other([&] {
+      Vm W(Cf);
+      W.eval(Setup);
+      for (int K = 0; K < 4; ++K)
+        W.eval("f(30L)");
+      W.eval("Mod <- function(z) 100");
+      EXPECT_EQ(W.eval("f(30L)").show(), "3000");
+      EXPECT_GT(W.global()->builtinEpoch().load(), 0u);
+    });
+    Other.join();
+
+    EXPECT_EQ(V.global()->builtinEpoch().load(), 0u);
+    for (int K = 0; K < 3; ++K)
+      EXPECT_EQ(V.eval("f(30L)").show(), "465");
+    EXPECT_EQ(Ver->code(), Code) << "the other Vm's rebind retired f";
+    EXPECT_EQ(Ver->DeoptCount, 0u);
+    EXPECT_EQ(Ver->Hits, Hits + 3);
+  }
 }
