@@ -10,6 +10,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "opt/pipeline.h"
+#include "osr/osrin.h"
 #include "support/fnv.h"
 #include "support/stats.h"
 #include "support/timer.h"
@@ -25,7 +26,7 @@ using namespace rjit;
 FnVersion *rjit::compileAndPublishVersion(Function *Fn,
                                           const CallContext &Ctx,
                                           VersionTable &Table,
-                                          const VersionCompileOpts &Opts) {
+                                          const OptOptions &Opts) {
   // Resolve which context to (re)compile: an arity-mismatched call (the
   // dispatch raises before running any version) and a blacklisted or
   // unplaceable specialized context all fall back to the generic root —
@@ -62,12 +63,6 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
     obs::traceEvent(obs::TraceEv::CompileStart, 0, E->ObsId,
                     obs::CompileKindFn);
 
-  OptOptions O;
-  O.Speculate = Opts.Speculate;
-  O.Inline = Opts.Inline;
-  O.Loop = Opts.Loop;
-  O.VerifyEachPass = Opts.VerifyBetweenPasses;
-  O.Backend = Opts.Backend;
   EntryState Entry;
   if (!Want.isGeneric()) {
     // Seed inference with the argument types the dispatch guarantees.
@@ -82,9 +77,9 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
   // generic root only: FullEnv code takes its arguments through the
   // environment, so a context specialization cannot reach it).
   std::unique_ptr<IrCode> Ir =
-      optimizeToIr(Fn, CallConv::FullElided, Entry, O);
+      optimizeToIr(Fn, CallConv::FullElided, Entry, Opts);
   if (!Ir && Want.isGeneric())
-    Ir = optimizeToIr(Fn, CallConv::FullEnv, EntryState(), O);
+    Ir = optimizeToIr(Fn, CallConv::FullEnv, EntryState(), Opts);
   if (!Ir) {
     if (!Want.isGeneric()) {
       // Specialization impossible (no elidable environment): burn the
@@ -263,7 +258,7 @@ uint64_t rjit::hashOsrSignature(int32_t Pc,
 bool rjit::requestVersionCompile(CompilerPool &Pool, const void *Owner,
                                  Function *Fn, const CallContext &Ctx,
                                  VersionTable *Table,
-                                 const VersionCompileOpts &Opts) {
+                                 const OptOptions &Opts) {
   // Cheap pre-resolution (lock-free reads), mirroring the job's own
   // resolution: a context whose resolved version is blacklisted or
   // already live can never publish anything new — without this check,
@@ -312,23 +307,10 @@ bool rjit::requestOsrCompile(CompilerPool &Pool, const void *Owner,
   CompileJob Job{
       Key, [Fn, Entry, Sig = std::move(Sig), Cache, Opts, Snap]() {
         SnapshotScope Scope(*Snap);
-        uint64_t T0 = nowNanos();
-        std::unique_ptr<IrCode> Ir =
-            optimizeToIr(Fn, CallConv::OsrIn, Entry, Opts);
-        if (Ir) {
-          ++stats().OsrInCompilations;
-          uint64_t Dur = nowNanos() - T0;
-          obs::metrics().CompileLatency.record(Dur);
-          if (obs::traceOn())
-            obs::traceEvent(obs::TraceEv::CompileFinish, Dur,
-                            static_cast<uint64_t>(Entry.Pc),
-                            obs::CompileKindOsr);
-        }
         // Null code is published as a failure marker: the executor stops
         // requesting this signature instead of re-enqueueing forever.
         Cache->publish(Entry.Pc, std::move(Sig),
-                       Ir ? prepareExecutable(Opts.Backend, lowerToLow(*Ir))
-                          : nullptr);
+                       compileOsrIn(Fn, Entry, Opts));
       }};
   CompileQueue::Push R = Pool.queue().push(std::move(Job));
   return R == CompileQueue::Push::Enqueued ||
@@ -338,7 +320,6 @@ bool rjit::requestOsrCompile(CompilerPool &Pool, const void *Owner,
 bool rjit::requestContinuationCompile(CompilerPool &Pool, const void *Owner,
                                       Function *Fn, const DeoptContext &Ctx,
                                       DeoptlessTable *Table,
-                                      bool FeedbackCleanup,
                                       const OptOptions &Opts) {
   CompileKey Key{Owner, Fn, CompileKind::Continuation,
                  hashDeoptContext(Ctx)};
@@ -349,8 +330,8 @@ bool rjit::requestContinuationCompile(CompilerPool &Pool, const void *Owner,
   // The repair reads live feedback — do it here, on the executor, and
   // ship the repaired profile as the job's view of the function.
   std::shared_ptr<FeedbackSnapshot> Snap = FeedbackSnapshot::capture(Fn);
-  Snap->replace(Fn,
-                repairedContinuationFeedback(Fn, Ctx, FeedbackCleanup));
+  Snap->replace(Fn, repairedContinuationFeedback(Fn, Ctx,
+                                                 Opts.FeedbackCleanup));
   CompileJob Job{Key, [Fn, Ctx, Table, Opts, Snap]() {
                    SnapshotScope Scope(*Snap);
                    std::unique_ptr<ExecutableCode> Code =

@@ -26,8 +26,8 @@
 ///    matches enter it without ever pausing.
 ///
 /// This layer deliberately knows nothing about the Vm: jobs capture plain
-/// pointers (function, target table) and knob copies, never thread-local
-/// VM state.
+/// pointers (function, target table) and a copy of the Vm's OptOptions,
+/// never thread-local VM state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,22 +47,6 @@
 
 namespace rjit {
 
-/// Knobs a whole-function version compile needs (copied out of Vm::Config
-/// so jobs never touch the Vm).
-struct VersionCompileOpts {
-  bool Speculate = true;
-  InlineOptions Inline;
-  LoopOptOptions Loop;
-  /// Between-pass IR verification (Vm::Config::VerifyBetweenPasses).
-  bool VerifyBetweenPasses = VerifyPassesDefault;
-  /// feedbackHash flavor: include call-site contexts (ContextDispatch).
-  bool HashWithContexts = false;
-  /// Execution backend the compiled code is prepared for (null =
-  /// interpreter). Backends are thread-safe: jobs call prepare() from
-  /// compiler threads.
-  ExecBackend *Backend = nullptr;
-};
-
 /// Resolves which context to (re)compile (blacklisted / unplaceable
 /// specializations fall back to the generic root), compiles it, and
 /// publishes the code into \p Table under its writer lock. Thread-safe:
@@ -72,7 +56,7 @@ struct VersionCompileOpts {
 /// guard-failure blacklisting discards its code.
 FnVersion *compileAndPublishVersion(Function *Fn, const CallContext &Ctx,
                                     VersionTable &Table,
-                                    const VersionCompileOpts &Opts);
+                                    const OptOptions &Opts);
 
 /// Published OSR-in continuations of one function, keyed by (pc, exact
 /// entry-type signature). Lookup is lock-free (copy-on-write snapshot);
@@ -129,22 +113,20 @@ uint64_t hashOsrSignature(int32_t Pc, const std::vector<uint32_t> &Sig);
 /// queue-full backpressure.
 bool requestVersionCompile(CompilerPool &Pool, const void *Owner,
                            Function *Fn, const CallContext &Ctx,
-                           VersionTable *Table,
-                           const VersionCompileOpts &Opts);
+                           VersionTable *Table, const OptOptions &Opts);
 
 /// Requests a background OSR-in compile for \p Entry into \p Cache.
-/// \p Opts carries the full optimizer knob set (inlining, loop opts,
-/// verification) the job compiles under.
 bool requestOsrCompile(CompilerPool &Pool, const void *Owner, Function *Fn,
                        const EntryState &Entry, OsrCache *Cache,
                        const OptOptions &Opts);
 
 /// Requests a background deoptless-continuation compile for \p Ctx into
-/// \p Table. The profile repair (paper §4.3) runs now, on the executor —
-/// it reads live feedback — and ships with the snapshot.
+/// \p Table. The profile repair (paper §4.3, per Opts.FeedbackCleanup)
+/// runs now, on the executor — it reads live feedback — and ships with
+/// the snapshot.
 bool requestContinuationCompile(CompilerPool &Pool, const void *Owner,
                                 Function *Fn, const DeoptContext &Ctx,
-                                DeoptlessTable *Table, bool FeedbackCleanup,
+                                DeoptlessTable *Table,
                                 const OptOptions &Opts);
 
 } // namespace rjit

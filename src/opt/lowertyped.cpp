@@ -78,7 +78,7 @@ Instr *coerceTo(IrCode &C, Instr *Before, Instr *V, int K) {
 
 } // namespace
 
-bool rjit::lowerTypedOps(IrCode &C) {
+bool rjit::lowerTyped(IrCode &C) {
   bool Changed = false;
   // Collect first: we mutate blocks while iterating otherwise.
   std::vector<Instr *> Work;

@@ -20,7 +20,7 @@
 namespace rjit {
 
 /// Runs strength reduction in place; returns true on any change.
-bool lowerTypedOps(IrCode &C);
+bool lowerTyped(IrCode &C);
 
 } // namespace rjit
 

@@ -63,7 +63,7 @@ public:
       : Fn(Fn), Conv(Conv), Entry(Entry), Opts(Opts) {}
 
   std::unique_ptr<IrCode> run() {
-    bool Elidable = Opts.ElideEnv && envIsElidable(*Fn);
+    bool Elidable = envIsElidable(*Fn);
     switch (Conv) {
     case CallConv::FullEnv:
       RealEnv = true;

@@ -52,11 +52,7 @@ struct EntryState {
 };
 
 /// Speculative inlining knobs (opt/inline): splice monomorphic hot
-/// callees into the caller under the callee-identity guard. One struct
-/// shared verbatim by every compile entry point — whole-function
-/// versions, OSR-in continuations and deoptless continuations — so the
-/// tiers cannot drift apart (Vm::Config::inlineView is the single
-/// source of truth).
+/// callees into the caller under the callee-identity guard.
 struct InlineOptions {
   bool Enabled = false;
   uint32_t MaxDepth = 2; ///< nesting bound for inlined calls
@@ -65,9 +61,6 @@ struct InlineOptions {
 
 /// Loop optimization knobs (opt/licm): dominator/loop analysis feeding
 /// LICM, loop-invariant guard hoisting and redundant-guard elimination.
-/// One struct shared verbatim by every compile entry point (whole-function
-/// versions, OSR-in continuations, deoptless continuations) so the tiers
-/// cannot drift apart; Vm::Config::LoopOpts is the single source of truth.
 struct LoopOptOptions {
   bool Enabled = true;            ///< master switch for the loop layer
   bool HoistInstrs = true;        ///< LICM of safe pure instructions
@@ -75,10 +68,9 @@ struct LoopOptOptions {
   bool ElimRedundantGuards = true;///< drop guards dominated by equivalents
 };
 
-/// The one definition of "debug builds verify between passes": every
-/// config struct that carries the knob (Vm::Config, VersionCompileOpts,
-/// OsrInConfig, DeoptlessConfig) defaults from this constant so the tiers
-/// cannot drift apart.
+/// Whether builds verify between passes by default: debug builds do,
+/// release builds do not (Vm::Config::VerifyBetweenPasses and
+/// OptOptions::VerifyEachPass both default from it).
 #ifndef NDEBUG
 inline constexpr bool VerifyPassesDefault = true;
 #else
@@ -87,12 +79,12 @@ inline constexpr bool VerifyPassesDefault = false;
 
 class ExecBackend;
 
-/// Translation/optimization knobs.
+/// The compile options. A Vm builds one value from its Config and hands
+/// that same value to every compile entry point — whole-function versions,
+/// OSR-in and deoptless continuations, synchronous or background — so the
+/// tiers cannot compile under different knobs.
 struct OptOptions {
   bool Speculate = true;       ///< insert Assume guards from feedback
-  bool ElideEnv = true;        ///< allow environment elision
-  bool TypedOps = true;        ///< strength-reduce generic ops
-  bool FoldConstants = true;
   InlineOptions Inline;
   LoopOptOptions Loop;
   /// Run the IR verifier between every optimization pass (the invariant
@@ -100,10 +92,15 @@ struct OptOptions {
   /// it instead of at the end — or never, when output happens to match).
   bool VerifyEachPass = VerifyPassesDefault;
   /// Execution backend the lowered code is prepared for (exec/backend.h);
-  /// null means the interpreter backend. Carried here — not read from any
-  /// thread-local — so background compile jobs prepare code for the Vm
-  /// that enqueued them.
+  /// null means the interpreter backend. Carried here so background
+  /// compile jobs prepare code for the Vm that enqueued them.
   ExecBackend *Backend = nullptr;
+  /// feedbackHash flavor of published versions: include call-site
+  /// contexts (contextual dispatch).
+  bool HashWithContexts = false;
+  /// Repair a continuation's profile before compiling it (the paper's
+  /// §4.3 feedback cleanup; an ablation toggle).
+  bool FeedbackCleanup = true;
 };
 
 /// Result of checking whether a function's environment can be elided.

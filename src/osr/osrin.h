@@ -24,42 +24,16 @@
 
 namespace rjit {
 
-/// OSR-in knobs.
-struct OsrInConfig {
-  bool Enabled = false;
-  /// Speculative inlining inside OSR-in continuation compiles (mirrors
-  /// the Vm's Inlining knobs).
-  InlineOptions Inline;
-  /// Loop optimization layer inside OSR-in compiles (mirrors
-  /// Vm::Config::LoopOpts). OSR-in entry blocks *are* loop headers, so
-  /// preheader synthesis and guard re-anchoring must hold here too.
-  LoopOptOptions Loop;
-  /// Between-pass IR verification (Vm::Config::VerifyBetweenPasses).
-  bool VerifyBetweenPasses = VerifyPassesDefault;
-  /// Execution backend OSR-in continuations are prepared for (null =
-  /// interpreter); installed by the Vm alongside the other knobs.
-  ExecBackend *Backend = nullptr;
-
-  /// The optimizer knob set an OSR-in compile runs under.
-  OptOptions optView() const {
-    OptOptions O;
-    O.Inline = Inline;
-    O.Loop = Loop;
-    O.VerifyEachPass = VerifyBetweenPasses;
-    O.Backend = Backend;
-    return O;
-  }
-};
-
-OsrInConfig &osrInConfig();
-
-/// The hook to install into interpHooks().OsrIn.
-bool osrInHook(Function *Fn, Env *E, std::vector<Value> &Stack, int32_t Pc,
-               Value &Result);
+/// Compiles the OSR-in continuation for \p Entry under \p Opts, prepared
+/// for Opts.Backend. Returns null when \p Fn cannot be compiled from that
+/// state. Shared by synchronous and background OSR-in.
+std::unique_ptr<ExecutableCode> compileOsrIn(Function *Fn,
+                                             const EntryState &Entry,
+                                             const OptOptions &Opts);
 
 /// The exact entry state of a hot backedge: the interpreter's operand
 /// stack and (for elidable environments) the current binding types.
-/// Shared by the synchronous hook and background OSR-in compilation.
+/// Shared by synchronous and background OSR-in.
 EntryState buildOsrEntryState(Function *Fn, Env *E,
                               const std::vector<Value> &Stack, int32_t Pc);
 
@@ -68,11 +42,6 @@ EntryState buildOsrEntryState(Function *Fn, Env *E,
 /// order) and returns the activation's result.
 Value enterOsrContinuation(ExecutableCode &Code, const EntryState &Entry,
                            Env *E, std::vector<Value> &Stack);
-
-/// Per-thread OSR-in compile blacklist (functions whose continuation
-/// compile failed; don't retry every backedge).
-bool osrInBlacklisted(Function *Fn);
-void osrInBlacklist(Function *Fn);
 
 } // namespace rjit
 

@@ -51,18 +51,6 @@ struct DepthGuard {
 
 } // namespace
 
-DeoptlessConfig Vm::Config::deoptlessView() const {
-  DeoptlessConfig D;
-  D.Enabled = Strategy == TierStrategy::Deoptless;
-  D.FeedbackCleanup = FeedbackCleanup;
-  D.MaxContinuations = MaxContinuations;
-  D.Inline = inlineView();
-  D.Loop = LoopOpts;
-  D.VerifyBetweenPasses = VerifyBetweenPasses;
-  D.Backend = Backend;
-  return D;
-}
-
 InlineOptions Vm::Config::inlineView() const {
   InlineOptions I;
   I.Enabled = Inlining;
@@ -71,25 +59,12 @@ InlineOptions Vm::Config::inlineView() const {
   return I;
 }
 
-VersionCompileOpts Vm::Config::versionView() const {
-  VersionCompileOpts V;
-  V.Speculate = Speculate;
-  V.Inline = inlineView();
-  V.Loop = LoopOpts;
-  V.VerifyBetweenPasses = VerifyBetweenPasses;
-  V.HashWithContexts = ContextDispatch;
-  V.Backend = Backend;
-  return V;
-}
-
-TierState &TierRegistry::stateFor(Function *Fn, uint32_t MaxVersions) {
+TierState &TierRegistry::stateFor(Function *Fn) {
   Shard &S = Shards[(reinterpret_cast<uintptr_t>(Fn) >> 4) % NumShards];
   std::lock_guard<std::mutex> L(S.Mu);
   std::unique_ptr<TierState> &P = S.Map[Fn];
-  if (!P) {
-    P = std::make_unique<TierState>();
-    P->Versions.setCapacity(MaxVersions);
-  }
+  if (!P)
+    P = std::make_unique<TierState>(MaxVersions, MaxContinuations);
   return *P;
 }
 
@@ -135,7 +110,7 @@ Value vmDispatchCall(ClosObj *Clos, std::vector<Value> &&Args) {
       }
       if (V->Cfg.BackgroundCompile)
         requestVersionCompile(*V->ActivePool, V, Fn, Ver->Ctx,
-                              &TS.Versions, V->Cfg.versionView());
+                              &TS.Versions, V->Opts);
       else
         V->compileVersion(Fn, Ver->Ctx);
       ++stats().Reoptimizations;
@@ -149,7 +124,7 @@ Value vmDispatchCall(ClosObj *Clos, std::vector<Value> &&Args) {
       // synchronous compile becomes one more profiled baseline execution.
       // The version appears to a later call via atomic publication.
       if (requestVersionCompile(*V->ActivePool, V, Fn, Ctx, &TS.Versions,
-                                V->Cfg.versionView()))
+                                V->Opts))
         ++stats().WarmupPausesAvoided;
       Ver = TS.Versions.dispatch(Ctx); // racing publication may be done
     } else {
@@ -237,60 +212,53 @@ Value vmLinkedCall(ClosObj *Clos, FnVersion *Ver, ExecutableCode *Code,
   return Result;
 }
 
-void vmDeoptListener(Function *Fn, const LowFunction &Code,
-                     const DeoptMeta &Meta, bool Injected) {
+/// The guard-failure handler (installed as lowHooks().Deopt), paper
+/// Listing 6: under Deoptless, first try to dispatch to a specialized
+/// continuation; otherwise apply the strategy's deopt policy and resume
+/// the baseline interpreter.
+Value vmDeoptHandler(const LowFunction &Code, std::vector<Value> &Slots,
+                     int32_t MetaIdx, Env *CurEnv, Env *ParentEnv,
+                     bool Injected) {
   Vm *V = Vm::current();
-  if (!V)
-    return;
+  assert(V && "deopt without an active Vm");
+  const DeoptMeta &Meta = Code.Deopts[MetaIdx];
+  const bool Deoptless = V->Cfg.Strategy == TierStrategy::Deoptless;
+  if (Deoptless && !CurEnv) {
+    Function *Inner = Meta.FrameFn ? Meta.FrameFn : Code.Origin;
+    Value Result;
+    if (tryDeoptless(Code, Slots, Meta, ParentEnv, Injected,
+                     V->stateFor(Inner).Deoptless, V->Opts, V->ActivePool,
+                     V, Result))
+      return Result;
+  }
   // A true deoptimization normally retires the optimized code: under
   // Normal this is the Fig. 1 cycle, under Deoptless it is the
   // "deoptimized for good" case of §4.3. The exception is an *injected*
   // failure (§5.1 test mode) under Deoptless that could not be handled
   // (e.g. it struck inside a running continuation): the guarded fact
   // still holds, so the code stays valid and is kept.
-  if (V->Cfg.Strategy == TierStrategy::Deoptless && Injected)
-    return;
+  if (!(Deoptless && Injected))
+    V->retireDeopted(Code.Origin, Code);
+  return deoptToBaseline(Code, Slots, Meta, CurEnv, ParentEnv);
+}
+
+/// Synchronous OSR-in (paper §4.2): compile a one-shot continuation from
+/// the hot backedge's live state and run the rest of the activation in it.
+bool vmOsrInHook(Function *Fn, Env *E, std::vector<Value> &Stack, int32_t Pc,
+                 Value &Result) {
+  Vm *V = Vm::current();
+  assert(V && "OSR hook without an active Vm");
   TierState &TS = V->stateFor(Fn);
-  // A failing guard inside a *cached* background OSR continuation means
-  // the cached speculation is stale: drop it so the next hot backedge
-  // recompiles from fresh feedback — the synchronous hook's behavior —
-  // instead of re-entering the same stale code every OsrThreshold
-  // backedges. The rest of the listener then applies the usual OSR-deopt
-  // bookkeeping (retire the most generic live version, re-warm).
-  TS.Osr.invalidate(&Code);
-  // Retire the version the failing guard belongs to. Deopts out of OSR-in
-  // or continuation code (not in the table) retire the most generic live
-  // version — the seed's single-`Optimized` behavior — and when nothing is
-  // live the deopt still counts against the generic root's bookkeeping
-  // entry so blacklisting accumulates across the recompile cycle.
-  // Retirement and blacklisting race with a compiler thread publishing
-  // into the same table; the writer lock serializes them (a publish that
-  // loses the race to a blacklist discards its code).
-  VersionWriteGuard G(TS.Versions);
-  FnVersion *Ver = TS.Versions.owner(&Code);
-  if (!Ver)
-    Ver = TS.Versions.mostGenericLive();
-  if (!Ver) {
-    CallContext Root = genericContext(Fn->Params.size());
-    Ver = TS.Versions.exact(Root);
-    if (!Ver)
-      Ver = TS.Versions.insert(Root);
+  if (TS.OsrInFailed)
+    return false;
+  EntryState Entry = buildOsrEntryState(Fn, E, Stack, Pc);
+  std::unique_ptr<ExecutableCode> Code = compileOsrIn(Fn, Entry, V->Opts);
+  if (!Code) {
+    TS.OsrInFailed = true;
+    return false;
   }
-  // The version cannot be freed yet — its frames (and the DeoptMeta being
-  // processed) are still live — so it moves to the graveyard.
-  if (Ver->live())
-    V->toGraveyard(Ver->retire());
-  ++Ver->DeoptCount;
-  if (obs::traceOn())
-    obs::recordVersionEvent(Ver->ObsId, obs::VerEvent::Deopted);
-  if (Ver->DeoptCount >= V->Cfg.DeoptBlacklist) {
-    Ver->Blacklisted = true;
-    if (obs::traceOn())
-      obs::recordVersionEvent(Ver->ObsId, obs::VerEvent::Blacklisted);
-  }
-  // Re-warm before recompiling so the baseline can collect fresh feedback
-  // (Fig. 1: deopt -> profile -> recompile).
-  Fn->CallCount = 0;
+  Result = enterOsrContinuation(*Code, Entry, E, Stack);
+  return true;
 }
 
 /// Background-mode OSR-in: consult the published continuation cache for
@@ -301,9 +269,6 @@ bool vmBackgroundOsrInHook(Function *Fn, Env *E, std::vector<Value> &Stack,
                            int32_t Pc, Value &Result) {
   Vm *V = Vm::current();
   assert(V && "OSR hook without an active Vm");
-  if (!osrInConfig().Enabled || osrInBlacklisted(Fn))
-    return false;
-
   EntryState Entry = buildOsrEntryState(Fn, E, Stack, Pc);
   TierState &TS = V->stateFor(Fn);
   OsrCache::Hit Hit = TS.Osr.lookup(Pc, osrSignature(Entry));
@@ -313,28 +278,15 @@ bool vmBackgroundOsrInHook(Function *Fn, Env *E, std::vector<Value> &Stack,
     Result = enterOsrContinuation(*Hit.Code, Entry, E, Stack);
     return true;
   }
-  if (requestOsrCompile(*V->ActivePool, V, Fn, Entry, &TS.Osr,
-                        osrInConfig().optView()))
+  if (requestOsrCompile(*V->ActivePool, V, Fn, Entry, &TS.Osr, V->Opts))
     ++stats().WarmupPausesAvoided;
   return false;
 }
 
-/// Background-mode deoptless-continuation requests (installed as
-/// DeoptlessConfig::AsyncCompile; runs on the executor inside the guard
-/// failure handler).
-bool vmAsyncContinuationCompile(Function *Fn, const DeoptContext &Ctx) {
-  Vm *V = Vm::current();
-  if (!V || !V->ActivePool)
-    return false;
-  return requestContinuationCompile(*V->ActivePool, V, Fn, Ctx,
-                                    &deoptlessTableFor(Fn),
-                                    V->Cfg.FeedbackCleanup,
-                                    deoptlessConfig().optView());
-}
-
 } // namespace rjit
 
-Vm::Vm(Config C) : Cfg(C) {
+Vm::Vm(Config C)
+    : Cfg(C), States(C.MaxVersions, C.MaxContinuations) {
   assert(!CurrentVm && "only one Vm may be active at a time");
   CurrentVm = this;
   // BaselineOnly is the reference every other mode is checked against: it
@@ -369,7 +321,14 @@ Vm::Vm(Config C) : Cfg(C) {
   }
   if (!ActiveBackend)
     ActiveBackend = &interpBackend();
-  Cfg.Backend = ActiveBackend; // views (versionView etc.) carry it to jobs
+
+  Opts.Speculate = Cfg.Speculate;
+  Opts.Inline = Cfg.inlineView();
+  Opts.Loop = Cfg.LoopOpts;
+  Opts.VerifyEachPass = Cfg.VerifyBetweenPasses;
+  Opts.Backend = ActiveBackend;
+  Opts.HashWithContexts = Cfg.ContextDispatch;
+  Opts.FeedbackCleanup = Cfg.FeedbackCleanup;
 
   if (Cfg.BackgroundCompile) {
     ActivePool = Cfg.Pool;
@@ -384,43 +343,26 @@ Vm::Vm(Config C) : Cfg(C) {
   obs::resetMetrics();
   interpHooks().CallClosure = vmDispatchCall;
   interpHooks().OsrIn =
-      Cfg.OsrIn ? (Cfg.BackgroundCompile ? vmBackgroundOsrInHook : osrInHook)
+      Cfg.OsrIn ? (Cfg.BackgroundCompile ? vmBackgroundOsrInHook : vmOsrInHook)
                 : nullptr;
   interpHooks().OsrThreshold = Cfg.OsrThreshold;
 
-  installOsrRuntime();
-  setDeoptListener(vmDeoptListener);
-  setDeoptlessTableOwner(this);
+  lowHooks().Deopt = vmDeoptHandler;
   lowHooks().InvalidationRate = Cfg.InvalidationRate;
   lowHooks().TestRng.reseed(Cfg.InvalidationSeed);
   lowHooks().rearmInvalidation();
   lowHooks().CallDepth = 0;
-
-  osrInConfig().Enabled = Cfg.OsrIn;
-  osrInConfig().Inline = Cfg.inlineView();
-  osrInConfig().Loop = Cfg.LoopOpts;
-  osrInConfig().VerifyBetweenPasses = Cfg.VerifyBetweenPasses;
-  osrInConfig().Backend = ActiveBackend;
-  DeoptlessConfig D = Cfg.deoptlessView();
-  if (Cfg.BackgroundCompile)
-    D.AsyncCompile = vmAsyncContinuationCompile;
-  configureDeoptless(D);
 }
 
 Vm::~Vm() {
-  // In-flight compile jobs hold pointers into this Vm's tier states,
-  // continuation tables and functions: the barrier must come first.
+  // In-flight compile jobs hold pointers into this Vm's tier states and
+  // functions: the barrier must come first.
   drainCompiles();
-  // Reclaim by owner identity, not by thread: the registry must drop
-  // this Vm's tables (their executables point into its code arena) even
-  // when the Vm object is destroyed off its executor thread.
-  releaseDeoptlessTables(this);
-  setDeoptlessTableOwner(nullptr);
   interpHooks() = InterpHooks();
   lowHooks() = LowHooks();
-  setDeoptListener(nullptr);
-  configureDeoptless(DeoptlessConfig());
-  osrInConfig() = OsrInConfig();
+  // Tier states own every version, OSR-in and deoptless continuation;
+  // their executables point into the native backend's code arena, which
+  // goes away with the Vm — whichever thread destroys it.
   States.clear();
   // Teardown is the fallback safepoint: no activation of retired code can
   // still be on the stack (epochs are ignored — the executor is gone), so
@@ -446,6 +388,50 @@ Vm::~Vm() {
   CurrentVm = nullptr;
   if (Cfg.Trace.Enabled)
     obs::traceEnd();
+}
+
+void Vm::retireDeopted(Function *Fn, const LowFunction &Code) {
+  TierState &TS = stateFor(Fn);
+  // A failing guard inside a *cached* background OSR continuation means
+  // the cached speculation is stale: drop it so the next hot backedge
+  // recompiles from fresh feedback — the synchronous hook's behavior —
+  // instead of re-entering the same stale code every OsrThreshold
+  // backedges. The rest then applies the usual OSR-deopt bookkeeping
+  // (retire the most generic live version, re-warm).
+  TS.Osr.invalidate(&Code);
+  // Retire the version the failing guard belongs to. Deopts out of OSR-in
+  // or continuation code (not in the table) retire the most generic live
+  // version — the single-generic-version behavior — and when nothing is
+  // live the deopt still counts against the generic root's bookkeeping
+  // entry so blacklisting accumulates across the recompile cycle.
+  // Retirement and blacklisting race with a compiler thread publishing
+  // into the same table; the writer lock serializes them (a publish that
+  // loses the race to a blacklist discards its code).
+  VersionWriteGuard G(TS.Versions);
+  FnVersion *Ver = TS.Versions.owner(&Code);
+  if (!Ver)
+    Ver = TS.Versions.mostGenericLive();
+  if (!Ver) {
+    CallContext Root = genericContext(Fn->Params.size());
+    Ver = TS.Versions.exact(Root);
+    if (!Ver)
+      Ver = TS.Versions.insert(Root);
+  }
+  // The version cannot be freed yet — its frames (and the DeoptMeta being
+  // processed) are still live — so it moves to the graveyard.
+  if (Ver->live())
+    toGraveyard(Ver->retire());
+  ++Ver->DeoptCount;
+  if (obs::traceOn())
+    obs::recordVersionEvent(Ver->ObsId, obs::VerEvent::Deopted);
+  if (Ver->DeoptCount >= Cfg.DeoptBlacklist) {
+    Ver->Blacklisted = true;
+    if (obs::traceOn())
+      obs::recordVersionEvent(Ver->ObsId, obs::VerEvent::Blacklisted);
+  }
+  // Re-warm before recompiling so the baseline can collect fresh feedback
+  // (Fig. 1: deopt -> profile -> recompile).
+  Fn->CallCount = 0;
 }
 
 uint64_t Vm::collectHeap() {
@@ -474,7 +460,7 @@ void Vm::toGraveyard(std::unique_ptr<ExecutableCode> Code) {
   ActiveBackend->notifyRetire(Code.get());
   if (obs::traceOn())
     obs::traceEvent(obs::TraceEv::Retire, 0, Code->obsId());
-  // Retires only happen on the executor thread (deopt listener, reopt
+  // Retires only happen on the executor thread (deopt handler, reopt
   // sampling — both run inside dispatch), so stamping and the later
   // epoch comparison are unsynchronized by design.
   Graveyard.push_back({std::move(Code), Epochs.stampRetire()});
@@ -538,9 +524,7 @@ void Vm::dispatchBoundary() {
   }
 }
 
-TierState &Vm::stateFor(Function *Fn) {
-  return States.stateFor(Fn, Cfg.MaxVersions);
-}
+TierState &Vm::stateFor(Function *Fn) { return States.stateFor(Fn); }
 
 ExecutableCode *Vm::compileFunction(Function *Fn) {
   FnVersion *Ver = compileVersion(Fn, genericContext(Fn->Params.size()));
@@ -550,8 +534,7 @@ ExecutableCode *Vm::compileFunction(Function *Fn) {
 FnVersion *Vm::compileVersion(Function *Fn, const CallContext &Ctx) {
   // The shared synchronous/background entry point (compile/service):
   // background jobs run exactly this, under a feedback-snapshot scope.
-  return compileAndPublishVersion(Fn, Ctx, stateFor(Fn).Versions,
-                                  Cfg.versionView());
+  return compileAndPublishVersion(Fn, Ctx, stateFor(Fn).Versions, Opts);
 }
 
 Value Vm::eval(const std::string &Source) {

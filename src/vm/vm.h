@@ -65,15 +65,23 @@ enum class TierStrategy : uint8_t {
   ProfileDrivenReopt ///< sampling reoptimization comparator (Fig. 11)
 };
 
-/// Per-function tier bookkeeping: the context-keyed version table and the
-/// published OSR-in continuations. All per-version state (code, deopt
-/// counts, blacklist, reopt sampling) lives in the table's FnVersion
-/// entries; without contextual dispatch the table holds exactly the
-/// generic root version and reproduces the seed's
-/// single-`Optimized`-pointer behavior.
+/// Per-function tier bookkeeping: the context-keyed version table, the
+/// published OSR-in continuations and the deoptless continuation table.
+/// All per-version state (code, deopt counts, blacklist, reopt sampling)
+/// lives in the table's FnVersion entries; without contextual dispatch the
+/// table holds exactly the generic root version.
 struct TierState {
+  TierState(uint32_t MaxVersions, uint32_t MaxContinuations)
+      : Deoptless(MaxContinuations) {
+    Versions.setCapacity(MaxVersions);
+  }
+
   VersionTable Versions;
   OsrCache Osr; ///< background OSR-in continuations (BackgroundCompile)
+  DeoptlessTable Deoptless; ///< dispatched continuations (Deoptless)
+  /// A synchronous OSR-in compile of this function failed: stop retrying
+  /// on every hot backedge. Executor-only.
+  bool OsrInFailed = false;
 };
 
 /// The Function* -> TierState registry. Mutex-sharded: executors create
@@ -82,9 +90,11 @@ struct TierState {
 /// jobs stay valid until clear().
 class TierRegistry {
 public:
-  /// The state of \p Fn, creating it (with \p MaxVersions capacity) on
-  /// first use.
-  TierState &stateFor(Function *Fn, uint32_t MaxVersions);
+  TierRegistry(uint32_t MaxVersions, uint32_t MaxContinuations)
+      : MaxVersions(MaxVersions), MaxContinuations(MaxContinuations) {}
+
+  /// The state of \p Fn, creating it on first use.
+  TierState &stateFor(Function *Fn);
 
   void clear();
 
@@ -95,6 +105,8 @@ private:
     std::unordered_map<Function *, std::unique_ptr<TierState>> Map;
   };
   std::array<Shard, NumShards> Shards;
+  const uint32_t MaxVersions;
+  const uint32_t MaxContinuations;
 };
 
 class CompilerPool;
@@ -127,7 +139,7 @@ public:
     /// monomorphic hot callees recorded in CallFeedback are spliced into
     /// the caller under the callee-identity guard; guards inside the
     /// spliced body carry frame-state chains so OSR-out materializes
-    /// every synthesized frame. Off reproduces PR 1 behavior exactly.
+    /// every synthesized frame.
     bool Inlining = false;
     uint32_t MaxInlineDepth = 2; ///< nesting bound for inlined calls
     uint32_t MaxInlineSize = 48; ///< callee bytecode-length bound
@@ -229,16 +241,8 @@ public:
       uint32_t BufferCapacity = 0;
     } Trace;
 
-    /// The deoptless view of this configuration (single source of truth
-    /// for the knobs DeoptlessConfig shares with the Vm).
-    DeoptlessConfig deoptlessView() const;
-
-    /// The inlining view: the InlineOptions every compile entry point
-    /// (versions, OSR-in, deoptless continuations) receives.
+    /// The inlining knobs as the InlineOptions the compile options carry.
     InlineOptions inlineView() const;
-
-    /// The version-compile view (knob copies compile jobs carry).
-    VersionCompileOpts versionView() const;
   };
 
   explicit Vm(Config Cfg);
@@ -319,11 +323,12 @@ public:
 
 private:
   friend Value vmDispatchCall(ClosObj *, std::vector<Value> &&);
-  friend void vmDeoptListener(Function *, const LowFunction &,
-                              const DeoptMeta &, bool);
+  friend Value vmDeoptHandler(const LowFunction &, std::vector<Value> &,
+                              int32_t, Env *, Env *, bool);
+  friend bool vmOsrInHook(Function *, Env *, std::vector<Value> &, int32_t,
+                          Value &);
   friend bool vmBackgroundOsrInHook(Function *, Env *, std::vector<Value> &,
                                     int32_t, Value &);
-  friend bool vmAsyncContinuationCompile(Function *, const DeoptContext &);
 
   Config Cfg;
   Env *Global;
@@ -335,11 +340,15 @@ private:
   /// teardown order ever changes.
   std::unique_ptr<ExecBackend> OwnBackend;
   ExecBackend *ActiveBackend = nullptr;
+  /// The compile options every compile entry point receives (versions,
+  /// OSR-in and continuations; synchronous or background). Built once
+  /// from Cfg after backend resolution and never changed after.
+  OptOptions Opts;
   TierRegistry States;
   std::unique_ptr<CompilerPool> OwnPool;
   CompilerPool *ActivePool = nullptr;
   /// Retired optimized code awaiting reclamation: activations of a
-  /// version being retired are still on the stack when the deopt listener
+  /// version being retired are still on the stack when the deopt handler
   /// runs (and under recursion an *outer* activation of the retired
   /// version can survive arbitrarily many further dispatches), so each
   /// entry is stamped with its retire epoch and freed by the dispatch-
@@ -372,6 +381,11 @@ private:
   /// executor-local (the native tier's emitted countdown check is a
   /// plain load and must never be written from another thread).
   RelaxedCounter PendingInjected;
+
+  /// The deopt policy of a true deoptimization out of \p Code (a version,
+  /// OSR-in or continuation code of \p Fn): retire the version the guard
+  /// belongs to, count the deopt towards blacklisting and re-warm.
+  void retireDeopted(Function *Fn, const LowFunction &Code);
 
   /// Moves retired code to the graveyard, stamping the current retire
   /// epoch, and re-syncs the gauge.

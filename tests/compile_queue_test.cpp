@@ -224,7 +224,8 @@ TEST(BackgroundCompile, LoopOptsKeepDrainTranscriptsIdentical) {
   // guard-free workload (Speculate off, so the loop layer can only move
   // pure instructions and synthesize blocks) the drained transcript is
   // byte-identical with the layer on and off, including the compile
-  // schedule the zero-thread pool replays.
+  // schedule the zero-thread pool replays. Speculate off holds for the
+  // background OSR-in compiles too: no guard ever runs.
   auto Run = [](bool LoopOpts, uint64_t &Compilations) {
     Vm::Config C = backgroundCfg(/*Threads=*/0);
     C.Speculate = false;
@@ -237,15 +238,27 @@ TEST(BackgroundCompile, LoopOptsKeepDrainTranscriptsIdentical) {
            "      s <- s + m[[(j - 1L) * nr + i]]\n"
            "  s\n"
            "}\n"
-           "d <- as.numeric(1:12)\n");
+           "lsum <- function(l, n) {\n"
+           "  s <- 0\n"
+           "  for (i in 1:n) s <- s + l[[(i %% 4L) + 1L]]\n"
+           "  s\n"
+           "}\n"
+           "d <- as.numeric(1:12)\n"
+           "l <- list(1.5, 2.5, 3.5, 4.5)\n");
     std::string Out;
     for (int K = 0; K < 4; ++K)
       Out += V.eval("colsum(d, 4L, 3L)").show() + "\n";
+    // The 100th backedge requests an OSR-in compile; after the drain, the
+    // next call's 200th backedge enters the published continuation.
+    Out += V.eval("lsum(l, 150L)").show() + "\n";
     V.drainCompiles();
     for (int K = 0; K < 4; ++K)
       Out += V.eval("colsum(d, 3L, 4L)").show() + "\n";
+    Out += V.eval("lsum(l, 150L)").show() + "\n";
     V.drainCompiles();
     Compilations = stats().Compilations;
+    EXPECT_GT(stats().OsrInEntries, 0u);
+    EXPECT_EQ(stats().AssumeChecks, 0u) << "loop opts " << LoopOpts;
     return Out;
   };
   uint64_t CompOn = 0, CompOff = 0;

@@ -112,7 +112,7 @@ TEST_F(OptFixture, NoSpeculationWithoutFeedbackOption) {
   EXPECT_EQ(countOps(*C, IrOp::AssumeIr), 0);
 }
 
-TEST_F(OptFixture, TypedOpsAfterSpeculation) {
+TEST_F(OptFixture, TypedLoweringAfterSpeculation) {
   Function *F = warm(R"(
     f <- function(v) {
       s <- 0

@@ -609,6 +609,19 @@ TEST_P(DiffFuzz, AllConfigurationsAgree) {
     EXPECT_EQ(stats().OsrInCompilations, 0u) << "seed " << Seed;
     EXPECT_EQ(stats().DeoptlessCompiles, 0u) << "seed " << Seed;
     EXPECT_EQ(stats().NativeCompiles, 0u) << "seed " << Seed;
+    // Speculation off holds for every compile entry point (versions, OSR-in
+    // and continuations): no guard ever runs, so even a 1-in-7 injection
+    // rate finds nothing to fail.
+    {
+      Vm::Config C = cfg(TierStrategy::Deoptless);
+      C.Speculate = false;
+      C.InvalidationRate = 7;
+      C.InvalidationSeed = Seed | 1;
+      ASSERT_EQ(Base, runProgram(P, C))
+          << "seed " << Seed << " speculation off\nprogram:\n"
+          << P.Setup << "drivers:\n" << driversOf(P);
+      EXPECT_EQ(stats().AssumeChecks, 0u) << "seed " << Seed;
+    }
     for (TierStrategy S : {TierStrategy::Normal, TierStrategy::Deoptless,
                            TierStrategy::ProfileDrivenReopt})
       for (bool Ctx : {false, true})
@@ -686,8 +699,8 @@ TEST_P(DiffFuzz, AllConfigurationsAgree) {
   }
 }
 
-// 10 shards x 50 programs = 500 random programs, each checked under 29
-// configurations (65 when the native axis is available, including the
+// 10 shards x 50 programs = 500 random programs, each checked under 30
+// configurations (66 when the native axis is available, including the
 // eight-point native-v2 feature lattice; shards parallelize under
 // `ctest -j`).
 INSTANTIATE_TEST_SUITE_P(Shards, DiffFuzz,

@@ -163,6 +163,36 @@ TEST(VmOsrIn, DisabledMeansNoEntries) {
   EXPECT_EQ(stats().OsrInEntries, 0u);
 }
 
+TEST(VmOsrIn, SpeculateOffReachesOsrInCompiles) {
+  // Config::Speculate holds for every compile entry point: OSR-in code
+  // compiled with speculation off has no guard to check, fail or
+  // dispatch from — not even under injected failures.
+  const char *Setup = "f <- function(l, n) {\n"
+                      "  s <- 0L\n"
+                      "  for (i in 1:n) s <- s + l[[(i %% 4L) + 1L]]\n"
+                      "  s\n"
+                      "}\n"
+                      "l <- list(1L, 2L, 3L, 4L)\n";
+  std::string Want;
+  {
+    Vm V(cfg(TierStrategy::BaselineOnly));
+    V.eval(Setup);
+    Want = V.eval("f(l, 3000L)").show();
+  }
+  for (TierStrategy S : {TierStrategy::Normal, TierStrategy::Deoptless}) {
+    Vm::Config C = cfg(S);
+    C.Speculate = false;
+    if (S == TierStrategy::Deoptless)
+      C.InvalidationRate = 50;
+    Vm V(C);
+    V.eval(Setup);
+    EXPECT_EQ(V.eval("f(l, 3000L)").show(), Want);
+    EXPECT_GT(stats().OsrInEntries, 0u);
+    EXPECT_EQ(stats().AssumeChecks, 0u) << static_cast<int>(S);
+    EXPECT_EQ(stats().DeoptlessCompiles, 0u) << static_cast<int>(S);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Deoptimization (Normal strategy, Fig. 1 cycle)
 
@@ -336,6 +366,62 @@ TEST(VmDeoptless, ResultsAlwaysMatchBaseline) {
   EXPECT_DOUBLE_EQ(Base, DL);
 }
 
+TEST(VmDeoptless, ContinuationTablesArePerFunction) {
+  // Each function's continuations live in its own tier state: a failure
+  // in one function neither fills nor reads another function's table.
+  Vm V(cfg(TierStrategy::Deoptless));
+  V.eval("sa <- function(d) { t <- 0L\n"
+         "for (i in 1:length(d)) t <- t + d[[i]]\nt }\n"
+         "sb <- function(d) { t <- 0L\n"
+         "for (i in 1:length(d)) t <- t + d[[i]]\nt }\n"
+         "ints <- c(1L, 2L, 3L, 4L)\n"
+         "reals <- c(1.5, 2.5, 3.5, 4.5)\n");
+  for (int K = 0; K < 10; ++K) {
+    V.eval("sa(ints)");
+    V.eval("sb(ints)");
+  }
+  DeoptlessTable &A = V.stateFor(V.eval("sa").closObj()->Fn).Deoptless;
+  DeoptlessTable &B = V.stateFor(V.eval("sb").closObj()->Fn).Deoptless;
+  EXPECT_DOUBLE_EQ(V.eval("sa(reals)").toReal(), 12.0);
+  ASSERT_EQ(A.size(), 1u);
+  EXPECT_EQ(B.size(), 0u);
+  Continuation *ACont = A.entries()[0];
+  EXPECT_DOUBLE_EQ(V.eval("sb(reals)").toReal(), 12.0);
+  EXPECT_EQ(B.size(), 1u);
+  ASSERT_EQ(A.size(), 1u);
+  EXPECT_EQ(A.entries()[0], ACont);
+  EXPECT_EQ(ACont->Hits, 1u);
+  EXPECT_EQ(stats().Deopts, 0u);
+}
+
+TEST(VmDeoptless, TablesFreedByATeardownOffTheExecutor) {
+  // A Vm destroyed on another thread than the one that ran it still frees
+  // its continuation tables (with the native tier, their code returns its
+  // mappings to the injected backend; the ASan job checks the rest).
+  std::unique_ptr<ExecBackend> Native;
+  if (nativeBackendSupported())
+    Native = makeNativeBackend(NativeTierOptions());
+  std::unique_ptr<Vm> V;
+  std::thread Executor([&] {
+    Vm::Config C = cfg(TierStrategy::Deoptless);
+    C.Backend = Native.get();
+    V = std::make_unique<Vm>(C);
+    V->eval(SumProgram);
+    V->eval("ints <- c(1L, 2L, 3L, 4L)\nreals <- c(1.5, 2.5, 3.5, 4.5)");
+    for (int K = 0; K < 10; ++K)
+      V->eval("sum_data(ints)");
+    EXPECT_DOUBLE_EQ(V->eval("sum_data(reals)").toReal(), 12.0);
+    EXPECT_EQ(
+        V->stateFor(V->eval("sum_data").closObj()->Fn).Deoptless.size(), 1u);
+  });
+  Executor.join();
+  if (Native)
+    EXPECT_GT(Native->liveCodeBlocks(), 0u);
+  V.reset();
+  if (Native)
+    EXPECT_EQ(Native->liveCodeBlocks(), 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Random invalidation mode (§5.1 methodology)
 
@@ -442,7 +528,7 @@ TEST(VmReopt, SamplingRecompilesOnProfileChange) {
 //===----------------------------------------------------------------------===//
 // Graveyard lifecycle: a retired executable — LowCode- or native-backed —
 // must land in the graveyard first (its frames may still be live when the
-// deopt listener runs), then be reclaimed by the dispatch-boundary
+// deopt handler runs), then be reclaimed by the dispatch-boundary
 // safepoint once its retire epoch drains; teardown reclaims whatever the
 // safepoints didn't. Observable through the GraveyardSize gauge.
 
